@@ -21,7 +21,6 @@ import mpmath
 from dynbraid.braid import BraidWord, parse_braid_file
 from dynbraid.errors import NonConvergence, VerificationFailed
 from dynbraid.regions import IterationOptions, dynnikov_matrices
-from dynbraid.spectral import dilatation
 
 
 def random_words(count, strands, length, seed):
@@ -57,7 +56,7 @@ def main(argv=None):
     for w in words:
         try:
             mats = dynnikov_matrices(w, opts)
-            lam = dilatation(mats[0].matrix_list())
+            lam = mats[0].dilatation
             writer.writerow(
                 [
                     w.strands,

@@ -24,7 +24,7 @@ from .regions import (
     enumerate_regions_n3,
     find_unstable_direction,
 )
-from .spectral import dilatation, isospectral_up_to
+from .spectral import isospectral_up_to
 from .traintrack import (
     Measure,
     change_of_coords,
@@ -62,6 +62,8 @@ class RunConfig:
 
 
 def _config(args) -> RunConfig:
+    if args.digits < 1:
+        raise DynbraidError(f"--digits must be at least 1, got {args.digits}")
     ladder = tuple(int(x) for x in args.precision.split(",")) if args.precision else (53, 128, 256, 512)
     return RunConfig(
         ladder=ladder,
@@ -158,8 +160,7 @@ def cmd_matrix(args) -> int:
 def cmd_dilatation(args) -> int:
     cfg = _config(args)
     for w in _words(args):
-        mats = dynnikov_matrices(w, cfg.iteration_options())
-        lam = dilatation(mats[0].matrix_list())
+        lam = dynnikov_matrices(w, cfg.iteration_options())[0].dilatation
         rec = {
             "word": w.render(),
             "dilatation": mpmath.nstr(lam, cfg.digits),

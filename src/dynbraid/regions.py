@@ -56,6 +56,7 @@ class DynnikovMatrix:
     matrix: tuple  # integer rows
     region: tuple  # integer rows c, region closure is {x : c.x >= 0}
     signature: BranchSignature
+    dilatation: object  # exact-bisected spectral radius, mpmath float > 1
 
     def matrix_list(self) -> list:
         return [list(r) for r in self.matrix]
@@ -166,7 +167,7 @@ def dynnikov_matrices(
     traced signatures, dedupes by exact matrix, and verifies each candidate:
     the fixed direction is an eigenvector with eigenvalue the dilatation, it
     lies in the region's closure, and all candidates share their spectral
-    radius.
+    radius, which each returned matrix carries as its ``dilatation``.
     """
     # Regions can pass within ~1e-13 of the fixed direction (high-entropy words
     # with huge dilatation), so the direction must be located far more
@@ -195,19 +196,19 @@ def dynnikov_matrices(
                 region = tuple(
                     sorted({_normalize_row(r) for r in tr.constraints})
                 )
-                found[tr.matrix] = DynnikovMatrix(tr.matrix, region, tr.signature)
+                found[tr.matrix] = (region, tr.signature)
         if not found:
             raise VerificationFailed("no tie-free signature found near the fixed direction")
         lam = direction.dilatation
         sup = max(abs(x) for x in centre)
-        results = []
+        verified = []
         for key in sorted(found):
-            cand = found[key]
+            region, _ = found[key]
             # probes can step across a wall passing arbitrarily close to the
             # fixed direction; a candidate whose region closure misses the
             # direction is such an artifact and is dropped, not an error
             in_closure = True
-            for row in cand.region:
+            for row in region:
                 scale = max(abs(c) for c in row) * sup
                 value = sum(c * x for c, x in zip(row, centre))
                 if value < -mpmath.mpf("1e-25") * scale:
@@ -215,22 +216,24 @@ def dynnikov_matrices(
                     break
             if not in_closure:
                 continue
-            image = [
-                sum(c * x for c, x in zip(row, centre)) for row in cand.matrix
-            ]
+            image = [sum(c * x for c, x in zip(row, centre)) for row in key]
             err = max(abs(y - lam * x) for x, y in zip(centre, image))
             if err > 1e-8 * lam * sup:
                 raise VerificationFailed(
                     "fixed direction is not an eigenvector of a candidate matrix"
                 )
-            results.append(cand)
-        if not results:
+            verified.append(key)
+        if not verified:
             raise VerificationFailed(
                 "no candidate's region closure contains the fixed direction"
             )
-        radii = [dilatation(c.matrix_list()) for c in results]
-        for r in radii[1:]:
-            if abs(r - radii[0]) > 1e-12 * radii[0]:
+        results = [
+            DynnikovMatrix(key, *found[key], dilatation([list(r) for r in key]))
+            for key in verified
+        ]
+        radius = results[0].dilatation
+        for m in results[1:]:
+            if abs(m.dilatation - radius) > 1e-12 * radius:
                 raise VerificationFailed("candidate matrices disagree on spectral radius")
     return results
 

@@ -2,23 +2,27 @@
 
 Characteristic polynomials are computed division-free (Berkowitz), so all
 arithmetic stays in Python integers no matter how large the entries get.
-Dilatations are located from the exact polynomial: a float estimate brackets
-the dominant real root, then rational bisection refines it to the requested
-precision.  "Isospectral up to ..." comparisons are decided on exact integer
-polynomials after stripping the designated trivial factors, never on floating
-spectra.
+Dilatations are located on the exact integer factor left after stripping
+zeros and roots of unity: a float estimate brackets the dominant real root,
+then rational bisection refines it to the requested precision.  Stripping
+loses nothing, since every stripped root has modulus at most 1 and so can
+neither be the dominant root nor compete with it, while the repeated trivial
+factors it removes (such as (x-1)^4) are what stalls the float root finder.
+"Isospectral up to ..." comparisons are decided on exact integer polynomials
+after stripping the designated trivial factors, never on floating spectra.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from math import gcd
 
 import mpmath
 
-from .errors import CoordinateError, NoDominantRealRoot
+from .errors import CoordinateError, NoDominantRealRoot, NonConvergence
 
 Mode = str  # "exact" | "roots_of_unity_and_zeros" | "eigenvalues_one"
 MODES = ("exact", "roots_of_unity_and_zeros", "eigenvalues_one")
@@ -64,6 +68,7 @@ def poly_divides(p, q):
     return quot
 
 
+@cache
 def cyclotomic(d: int):
     """Coefficients of the d-th cyclotomic polynomial, lowest degree first."""
     p = [0] * d + [1]
@@ -144,19 +149,31 @@ def char_poly(M) -> CharPoly:
 def _all_roots(p: CharPoly):
     # mpmath wants highest degree first
     with mpmath.workdps(60):
-        return mpmath.polyroots(
-            [mpmath.mpf(c) for c in reversed(p.coeffs)], maxsteps=200, extraprec=200
-        )
+        try:
+            return mpmath.polyroots(
+                [mpmath.mpf(c) for c in reversed(p.coeffs)], maxsteps=200, extraprec=200
+            )
+        except mpmath.libmp.NoConvergence as exc:
+            raise NonConvergence(
+                f"root finder did not converge on a degree-{p.degree} polynomial"
+            ) from exc
 
 
 def dilatation(M, tol=Fraction(1, 10**30)):
     """The dominant real eigenvalue > 1, refined on the exact polynomial.
 
+    Roots are found and bisected on the char poly with its zeros and roots of
+    unity stripped.  That is exact: the stripped roots have modulus at most
+    1, so the dominance, off-axis and simplicity checks decide the same on
+    the factor as on the full polynomial, and on (1, oo) the two have the
+    same sign, so bisection brackets the same root.
+
     Raises NoDominantRealRoot when no real root > 1 strictly dominates the
-    modulus of every other root (relative margin 1e-9).
+    modulus of every other root (relative margin 1e-9), and NonConvergence
+    when the float root finder fails.
     """
-    p = char_poly(M)
-    roots = _all_roots(p)
+    p, _ = strip_trivial_factors(char_poly(M), "roots_of_unity_and_zeros")
+    roots = _all_roots(p)  # none when p is constant (identity, rotations)
     best = None
     for r in roots:
         if abs(mpmath.im(r)) < 1e-20 * max(1, abs(r)) and mpmath.re(r) > 1:

@@ -1,5 +1,6 @@
 import json
 
+import mpmath
 import pytest
 
 from dynbraid.cli import main
@@ -99,6 +100,37 @@ def test_dilatation_braid_file(tmp_path, capsys):
     assert len(lines) == 2
     assert json.loads(lines[0])["dilatation"].startswith("2.618")
     assert json.loads(lines[1])["dilatation"].startswith("2.153")
+
+
+def test_dilatation_non_positive_digits_exits_2(capsys):
+    for digits in ("0", "-3"):
+        code, out, err = run(
+            capsys, "--digits", digits, "dilatation", "-n", "3", "-w", "1 -2"
+        )
+        assert code == 2
+        assert out == ""
+        assert "error: --digits" in err
+
+
+def test_six_strand_penner_words_answer(capsys):
+    # 6-strand Penner words: their char polys carry (x-1)^4 beside the factor of λ
+    code, out, _ = run(capsys, "dilatation", "-n", "6", "-w", "-2 5 3 -4 5 1")
+    assert code == 0
+    assert float(out.split()[0]) > 1
+    code, out, _ = run(capsys, "matrix", "-n", "6", "-w", "5 3 -4 -4 3 1 -2")
+    assert code == 0
+    assert "matrices" in out
+
+
+def test_root_finder_failure_exits_3(capsys, monkeypatch):
+    def stall(*args, **kwargs):
+        raise mpmath.libmp.NoConvergence("Didn't converge in maxsteps=200 steps.")
+
+    monkeypatch.setattr(mpmath, "polyroots", stall)
+    code, out, err = run(capsys, "dilatation", "-n", "3", "-w", "1 -2")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: root finder did not converge")
 
 
 def test_missing_braid_file_exits_2(capsys):

@@ -5,7 +5,7 @@ import mpmath
 import pytest
 
 from dynbraid.braid import parse_braid
-from dynbraid.errors import NoDominantRealRoot
+from dynbraid.errors import NoDominantRealRoot, NonConvergence
 from dynbraid.spectral import (
     CharPoly,
     char_poly,
@@ -181,6 +181,42 @@ def test_dilatation_rejects_negative_dominance():
     M = [[-3, 0], [0, 2]]
     with pytest.raises(NoDominantRealRoot):
         dilatation(M)
+
+
+def block_sum(A, B):
+    n, m = len(A), len(B)
+    return [list(r) + [0] * m for r in A] + [[0] * n + list(r) for r in B]
+
+
+def identity(k):
+    return [[int(i == j) for j in range(k)] for i in range(k)]
+
+
+def test_dilatation_ignores_repeated_trivial_factors():
+    # companion matrix of x^4 - 9x^3 + 21x^2 - 9x + 1 plus I_4: the float root
+    # finder fails to converge on the full char poly with its (x-1)^4
+    C = [[0, 0, 0, -1], [1, 0, 0, 9], [0, 1, 0, -21], [0, 0, 1, 9]]
+    M = block_sum(C, identity(4))
+    lam = dilatation(M)
+    assert mpmath.nstr(lam, 12) == "5.43400775144"
+    p = char_poly(M)
+    x, eps = Fraction(mpmath.nstr(lam, 40)), Fraction(1, 10**25)
+    assert p(x - eps) * p(x + eps) < 0
+
+
+def test_dilatation_rejects_repeated_dominant_root_beside_trivial_factors():
+    A = [[2, 1], [1, 1]]
+    with pytest.raises(NoDominantRealRoot, match="not simple"):
+        dilatation(block_sum(A, block_sum(A, identity(2))))
+
+
+def test_dilatation_wraps_root_finder_failure(monkeypatch):
+    def stall(*args, **kwargs):
+        raise mpmath.libmp.NoConvergence("Didn't converge in maxsteps=200 steps.")
+
+    monkeypatch.setattr(mpmath, "polyroots", stall)
+    with pytest.raises(NonConvergence):
+        dilatation([[2, 1], [1, 1]])
 
 
 # ---------------------------------------------------------------------------

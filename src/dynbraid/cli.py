@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -17,14 +18,14 @@ import mpmath
 
 from .braid import BraidWord, parse_braid, parse_braid_file
 from .coords import DynnikovVector
-from .errors import DynbraidError, NonConvergence, VerificationFailed
+from .errors import CoordinateError, DynbraidError, NonConvergence, VerificationFailed
 from .regions import (
     IterationOptions,
     dynnikov_matrices,
     enumerate_regions_n3,
     find_unstable_direction,
 )
-from .spectral import isospectral_up_to
+from .spectral import dilatation, isospectral_up_to
 from .traintrack import (
     Measure,
     change_of_coords,
@@ -91,6 +92,11 @@ def _parse_vector(text: str, strands: int) -> DynnikovVector:
     return DynnikovVector.from_flat(strands, dec)
 
 
+def _check_finite(v: DynnikovVector, what: str) -> None:
+    if any(isinstance(x, float) and not math.isfinite(x) for x in v.flat()):
+        raise CoordinateError(f"{what} has a non-finite entry: {list(v.flat())}")
+
+
 def _words(args) -> list:
     if args.braid_file:
         with open(args.braid_file) as fh:
@@ -116,7 +122,9 @@ def cmd_act(args) -> int:
     cfg = _config(args)
     w = _words(args)[0]
     v = _parse_vector(args.vector, w.strands)
+    _check_finite(v, "vector")
     out = apply_braid(v, w)
+    _check_finite(out, "image (float overflow)")
     _emit(cfg, json.loads(out.to_json()), [" ".join(str(x) for x in out.flat())])
     return 0
 
@@ -160,11 +168,16 @@ def cmd_matrix(args) -> int:
 def cmd_dilatation(args) -> int:
     cfg = _config(args)
     for w in _words(args):
-        lam = dynnikov_matrices(w, cfg.iteration_options())[0].dilatation
+        m = dynnikov_matrices(w, cfg.iteration_options())[0]
+        lam = m.dilatation
+        if cfg.digits > 30:  # m.dilatation is bisected to 1e-30 only
+            lam = dilatation(m.matrix_list(), tol=Fraction(1, 10 ** (cfg.digits + 5)))
+        with mpmath.workdps(cfg.digits + 10):
+            log = mpmath.log(lam)
         rec = {
             "word": w.render(),
             "dilatation": mpmath.nstr(lam, cfg.digits),
-            "log": mpmath.nstr(mpmath.log(lam), cfg.digits),
+            "log": mpmath.nstr(log, cfg.digits),
         }
         _emit(cfg, rec, [f"{rec['dilatation']}  (log {rec['log']})"])
     return 0
@@ -248,9 +261,24 @@ def _load_rational_matrix(path: str):
     return [[Fraction(x) for x in row] for row in doc["matrix"]]
 
 
+# positional arguments of each track subcommand
+_TRACK_ARGS = {
+    "pf": "FILE",
+    "pinch": "FILE EDGE",
+    "extend": "FILE",
+    "coords": "FILE",
+    "conjugacy": "D_FILE L_FILE TP_FILE",
+}
+
+
 def cmd_track(args) -> int:
     cfg = _config(args)
     sub = args.track_cmd
+    names = _TRACK_ARGS[sub]
+    if len(args.files) != len(names.split()):
+        raise DynbraidError(f"track {sub} takes {names}, got {len(args.files)} arguments")
+    if (args.measure is None) == (sub == "coords"):
+        raise DynbraidError("--measure is required by track coords and only by it")
     if sub == "pf":
         with open(args.files[0]) as fh:
             T = load_transition_matrix(fh.read())
@@ -371,7 +399,7 @@ def main(argv=None) -> int:
     except VerificationFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (DynbraidError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (DynbraidError, OSError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

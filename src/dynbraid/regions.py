@@ -5,22 +5,30 @@ fixed direction; projective power iteration finds it on a rising precision
 ladder.  Probing a small sphere around the fixed direction with the traced
 update rules discovers every linear piece (region) meeting it; candidates are
 verified against the fixed direction and by their shared spectral radius.
+
+Both the iteration and the probing run on Python integers.  The update rules
+are positively homogeneous with integer coefficients, so a direction scaled
+by 2^p and rounded to an integer vector is a fixed-point number with p
+fraction bits, and acting on it is exact: no rounding inside the word, and a
+tie in a max is plain equality.  The only rounding is the renormalization
+between iterations and the one rounding of the centre before it is traced.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from fractions import Fraction
 from math import gcd
 
 import mpmath
 
 from .braid import BraidWord, inverse
-from .coords import DynnikovVector, positive_normalize, projective_distance, to_mpf
-from .errors import NonConvergence, VerificationFailed
+from .coords import DynnikovVector
+from .errors import DynbraidError, NonConvergence, VerificationFailed
 from .spectral import dilatation
-from .update import BranchSignature, apply_braid, matrix_apply, traced_apply
+from .update import BranchSignature, apply_braid, traced_apply
 
 
 @dataclass(frozen=True)
@@ -79,48 +87,84 @@ def _seed_vector(strands: int, seed: int) -> DynnikovVector:
     return DynnikovVector(strands, a, b)
 
 
+def _reject_periodic(w: BraidWord) -> None:
+    """Raise NonConvergence when w^(n-1) or w^n fixes E = (0..0, 1..1).
+
+    A periodic braid has its (n-1)-th or n-th power equal to a power of the
+    full twist, which acts trivially on coordinates; a power of a
+    pseudo-Anosov braid is pseudo-Anosov and fixes no integral lamination.
+    """
+    m = w.strands - 2
+    e = DynnikovVector(w.strands, (0,) * m, (1,) * m)
+    v = e
+    for power in range(1, w.strands + 1):
+        v = apply_braid(v, w)
+        if power >= w.strands - 1 and v == e:
+            raise NonConvergence(
+                f"power {power} of the word fixes an integral lamination: "
+                "word is not pseudo-Anosov"
+            )
+
+
 def find_unstable_direction(
     w: BraidWord, opts: IterationOptions = DEFAULT_OPTIONS
 ) -> UnstableDirection:
     """Projective power iteration toward the attracting direction of w.
 
-    Converges when successive projective iterates are closer than 10^(-p/8)
-    at p mantissa bits, then keeps iterating until the growth-factor estimate
-    stabilizes; escalates the precision ladder on failure.
+    At rung p of the ladder the iterate is an integer vector u of sup norm
+    2^p, that is the direction u / 2^p in fixed point with p fraction bits.
+    The action is positively homogeneous with integer coefficients, so
+    apply_braid on u is exact, and renormalizing by floor((y << p) / max|y|)
+    costs under one unit in the last place, as a p-bit float iteration does.
+    Converges when successive iterates are closer than 10^(-p/8) and the
+    growth max|y| / 2^p has changed by at most 1e-13 (relative) three times
+    running; escalates the precision ladder on failure.  Words with a power
+    that fixes an integral lamination (every periodic word) are rejected
+    before the ladder.
     """
     if len(w) == 0:
         raise NonConvergence("the identity word has no attracting direction")
+    _reject_periodic(w)
+    seed = _seed_vector(w.strands, opts.seed).flat()
+    seed_norm = max(abs(x) for x in seed)
     total_iters = 0
     for prec in opts.ladder:
+        tol = (1 << prec) // 10 ** (prec // 8)
+        u = [(x << prec) // seed_norm for x in seed]
+        growth = None
+        converged = False
+        stable = 0
+        for _ in range(opts.max_iters):
+            total_iters += 1
+            y = apply_braid(DynnikovVector.from_flat(w.strands, u), w).flat()
+            norm = max(abs(x) for x in y)
+            un = [(x << prec) // norm for x in y]
+            dist = min(
+                max(abs(x - z) for x, z in zip(un, u)),
+                max(abs(x + z) for x, z in zip(un, u)),
+            )
+            if growth is not None and abs(norm - growth) * 10**13 <= growth:
+                stable += 1
+            else:
+                stable = 0
+            growth = norm
+            u = un
+            if dist < tol and stable >= 3:
+                converged = True
+                break
+        if not converged:
+            continue
         with mpmath.workprec(prec):
-            tol = mpmath.mpf(10) ** -(prec // 8)
-            u = positive_normalize(to_mpf(_seed_vector(w.strands, opts.seed)))
-            lam = None
-            converged = False
-            stable = 0
-            for it in range(opts.max_iters):
-                total_iters += 1
-                nxt = apply_braid(u, w)
-                growth = nxt.sup_norm()  # u has sup norm 1
-                un = positive_normalize(nxt)
-                dist = projective_distance(un, u)
-                if lam is not None and abs(growth - lam) <= 1e-13 * abs(lam):
-                    stable += 1
-                else:
-                    stable = 0
-                lam = growth
-                u = un
-                if dist < tol and stable >= 3:
-                    converged = True
-                    break
-            if not converged:
-                continue
-            if lam <= 1 + mpmath.mpf("1e-6"):
+            lam = mpmath.ldexp(growth, -prec)
+            if growth * 10**6 <= (10**6 + 1) << prec:
                 raise NonConvergence(
                     f"growth factor {mpmath.nstr(lam, 8)} is not > 1: "
                     "word is not pseudo-Anosov at this precision"
                 )
-            return UnstableDirection(u, lam, total_iters, prec)
+            point = DynnikovVector.from_flat(
+                w.strands, [mpmath.ldexp(x, -prec) for x in u]
+            )
+        return UnstableDirection(point, lam, total_iters, prec)
     raise NonConvergence(
         f"no attracting direction after {total_iters} iterations "
         f"across precisions {opts.ladder}"
@@ -158,45 +202,72 @@ def _probe_directions(dim: int, opts: IterationOptions):
     return dirs
 
 
+def _in_interior(tr, X, R) -> bool:
+    """True when the sup-ball of radius R around X is strictly inside tr's region.
+
+    Every point P with max|P - X| <= R has c.P >= c.X - R*|c|_1 for each
+    constraint row c.  A tie at X is a constraint with c.X = 0, so it fails.
+    """
+    return all(
+        sum(c * x for c, x in zip(row, X)) > R * sum(abs(c) for c in row)
+        for row in tr.constraints
+    )
+
+
 def dynnikov_matrices(
     w: BraidWord, opts: IterationOptions = DEFAULT_OPTIONS
 ) -> list:
     """All verified Dynnikov matrices of w (regions meeting the fixed direction).
 
-    Probes a small sphere around the attracting direction, keeps tie-free
-    traced signatures, dedupes by exact matrix, and verifies each candidate:
-    the fixed direction is an eigenvector with eigenvalue the dilatation, it
-    lies in the region's closure, and all candidates share their spectral
-    radius, which each returned matrix carries as its ``dilatation``.
+    The attracting direction, found on the rungs of the ladder of at least
+    256 bits, is scaled to the integer centre X = round(centre * 2^prec) at
+    twice its precision, and the probe radius to R = round(r * 2^prec).  The
+    update is positively homogeneous, so tracing an integer point is exact
+    and a tie is plain equality.  X is traced once: when every region
+    constraint c of that trace has c.X > R*|c|_1, the whole sup-ball of
+    radius R lies strictly inside X's region, so every probe would follow the
+    same branches and find the same matrix and region, which is then the only
+    candidate.  Otherwise the sphere of radius R is probed at the integer
+    points X + round(R*d), as many as ``_probe_directions`` gives.
+    Tie-free candidates are deduped by exact matrix and verified: the fixed
+    direction is an eigenvector with eigenvalue the dilatation, it lies in
+    the region's closure, and all candidates share their spectral radius,
+    which each returned matrix carries as its ``dilatation``.
+
+    Raises DynbraidError when the ladder has no rung of at least 256 bits.
     """
     # Regions can pass within ~1e-13 of the fixed direction (high-entropy words
     # with huge dilatation), so the direction must be located far more
     # accurately than the probe radius before probing.
-    ladder = tuple(p for p in opts.ladder if p >= 256) or (256, 512)
-    direction = find_unstable_direction(
-        w,
-        IterationOptions(
-            ladder, opts.max_iters, opts.seed, opts.probe_radius,
-            opts.random_probes_per_dim,
-        ),
-    )
+    ladder = tuple(p for p in opts.ladder if p >= 256)
+    if not ladder:
+        raise DynbraidError(
+            f"precision ladder {opts.ladder} has no rung of at least 256 bits, "
+            "the floor for locating the direction before probing"
+        )
+    direction = find_unstable_direction(w, replace(opts, ladder=ladder))
     prec = 2 * direction.precision
-    dim = 2 * w.strands - 4
+    X = [int(mpmath.nint(mpmath.ldexp(x, prec))) for x in direction.point.flat()]
+    R = round(Fraction(opts.probe_radius) * 2**prec)
+
+    def trace(point):
+        return traced_apply(DynnikovVector.from_flat(w.strands, point), w)
+
+    centre_trace = trace(X)
+    if _in_interior(centre_trace, X, R):
+        traces = [centre_trace]
+    else:  # traced one at a time: a long word's trace is large
+        traces = (
+            trace([x + round(R * Fraction(t)) for x, t in zip(X, d)])
+            for d in _probe_directions(len(X), opts)
+        )
     found = {}
+    for tr in traces:
+        if not tr.signature.has_ties and tr.matrix not in found:
+            region = tuple(sorted({_normalize_row(r) for r in tr.constraints}))
+            found[tr.matrix] = (region, tr.signature)
     with mpmath.workprec(prec):
         centre = [mpmath.mpf(x) for x in direction.point.flat()]
-        delta = mpmath.mpf(opts.probe_radius)
-        for d in _probe_directions(dim, opts):
-            flat = [c + delta * x for c, x in zip(centre, d)]
-            probe = DynnikovVector.from_flat(w.strands, flat)
-            tr = traced_apply(probe, w)
-            if tr.signature.has_ties:
-                continue
-            if tr.matrix not in found:
-                region = tuple(
-                    sorted({_normalize_row(r) for r in tr.constraints})
-                )
-                found[tr.matrix] = (region, tr.signature)
         if not found:
             raise VerificationFailed("no tie-free signature found near the fixed direction")
         lam = direction.dilatation

@@ -166,7 +166,9 @@ def dilatation(M, tol=Fraction(1, 10**30)):
     unity stripped.  That is exact: the stripped roots have modulus at most
     1, so the dominance, off-axis and simplicity checks decide the same on
     the factor as on the full polynomial, and on (1, oo) the two have the
-    same sign, so bisection brackets the same root.
+    same sign, so bisection brackets the same root.  The root is bisected to
+    relative width tol and returned with enough digits to show it (at least
+    45).
 
     Raises NoDominantRealRoot when no real root > 1 strictly dominates the
     modulus of every other root (relative margin 1e-9), and NonConvergence
@@ -208,7 +210,7 @@ def dilatation(M, tol=Fraction(1, 10**30)):
         else:
             hi = mid
     mid = (lo + hi) / 2
-    with mpmath.workdps(45):
+    with mpmath.workdps(max(45, len(str(Fraction(tol).denominator)) + 5)):
         return mpmath.mpf(mid.numerator) / mid.denominator
 
 

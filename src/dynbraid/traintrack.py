@@ -257,7 +257,7 @@ def transition_pf(T: TransitionMatrix, precision: int = 30):
     """
     M = T.main_block()
     try:
-        lam = dilatation(M)
+        lam = dilatation(M, tol=Fraction(1, 10 ** max(30, precision + 5)))
     except NoDominantRealRoot as exc:
         raise NotIrreducible(str(exc)) from None
     m = len(M)

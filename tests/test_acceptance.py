@@ -54,23 +54,12 @@ from conftest import (
     random_word,
 )
 
-from test_regions import D1_N5, D2_N5, GOLDEN_N3, SIX_N3
+from test_regions import D1_N5, D2_N5, GOLDEN_N3, S3_WORD, SIX_N3
 from test_spectral import charpoly_cofactor, rand_matrix
 from test_traintrack import cycle_track_doc, merge_docs, uniform_measure
 
 B4_WORD = "1 -2 3 3 3 2 1 -2"
 GAMMA_WORD = "1 1 2 2 1 2 3 3 2 1 1 1 1 2 1 1 3 3 2 1"
-S3_WORD = " ".join(
-    ["-1"]
-    + ["-2"] * 3
-    + ["-3"] * 5
-    + ["1"] * 4
-    + ["-2"] * 2
-    + ["-3", "1", "2", "-3", "-3"]
-    + ["2", "-3", "-3"] * 19
-    + ["-1"] * 8
-    + ["-3", "-1", "-1", "2", "2", "-3", "-1", "2", "3", "1", "-2", "-3"]
-)
 
 
 def test_criterion_1_three_letter_action():

@@ -248,3 +248,70 @@ def test_track_conjugacy_false_exits_4(tmp_path, capsys):
 def test_track_bad_file_exits_2(capsys):
     code, _, _ = run(capsys, "track", "pf", "/nonexistent.json")
     assert code == 2
+
+
+def test_matrix_periodic_word_fails_fast(capsys, monkeypatch):
+    import dynbraid.regions as regions
+
+    calls = []
+    plain = regions.apply_braid
+
+    def counting(v, w):
+        calls.append(1)
+        return plain(v, w)
+
+    monkeypatch.setattr(regions, "apply_braid", counting)
+    code, out, err = run(capsys, "matrix", "-n", "5", "-w", "1 2 3 4")
+    assert code == 3
+    assert out == ""
+    assert "fixes an integral lamination" in err
+    assert len(calls) < 20
+
+
+def test_dilatation_digits_60_are_exact(capsys):
+    code, out, _ = run(capsys, "--digits", "60", "dilatation", "-n", "3", "-w", "1 -2")
+    assert code == 0
+    with mpmath.workdps(80):
+        lam = (3 + mpmath.sqrt(5)) / 2
+        expect = f"{mpmath.nstr(lam, 60)}  (log {mpmath.nstr(mpmath.log(lam), 60)})"
+    assert out.strip() == expect
+
+
+def test_track_pf_digits_60_are_exact(capsys):
+    # the main block of tm_gamma_T has PF eigenvalue 17 + 12 sqrt 2
+    code, out, _ = run(
+        capsys, "--digits", "60", "track", "pf", str(FIXTURES / "tm_gamma_T.json")
+    )
+    assert code == 0
+    with mpmath.workdps(80):
+        expect = mpmath.nstr(17 + 12 * mpmath.sqrt(2), 60)
+    assert out.splitlines()[0] == f"lambda = {expect}"
+
+
+def test_precision_below_floor_exits_2(capsys):
+    code, out, err = run(capsys, "--precision", "64", "matrix", "-n", "3", "-w", "1 -2")
+    assert code == 2
+    assert out == ""
+    assert "256 bits" in err
+
+
+@pytest.mark.parametrize("vector", ["[NaN, 1]", "[1e400, 1]", "[1e308, 1e308]", '["1/0", 1]'])
+def test_act_non_finite_vector_exits_2(capsys, vector):
+    code, out, err = run(capsys, "act", "-n", "3", "-w", "1", "-v", vector)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_track_pinch_without_edge_exits_2(capsys):
+    code, out, err = run(capsys, "track", "pinch", str(FIXTURES / "track_gamma_base.json"))
+    assert code == 2
+    assert out == ""
+    assert "FILE EDGE" in err
+
+
+def test_track_coords_without_measure_exits_2(capsys):
+    code, out, err = run(capsys, "track", "coords", str(FIXTURES / "track_b4_complete.json"))
+    assert code == 2
+    assert out == ""
+    assert "--measure" in err

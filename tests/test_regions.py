@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,10 +7,14 @@ import pytest
 
 from dynbraid.braid import identity_word, parse_braid
 from dynbraid.coords import DynnikovVector, projective_distance
-from dynbraid.errors import NonConvergence
+from dynbraid.errors import DynbraidError, NonConvergence
+import dynbraid.regions as regions
 from dynbraid.regions import (
     DEFAULT_OPTIONS,
     IterationOptions,
+    _reject_periodic,
+    _in_interior,
+    _probe_directions,
     dynnikov_matrices,
     enumerate_regions_n3,
     find_unstable_direction,
@@ -42,6 +47,19 @@ D2_N5 = (
     (-1, 1, 0, -1, 1, 0),
     (0, -1, 1, 0, -1, 1),
     (0, 0, 1, 0, 0, 1),
+)
+
+# high-entropy 4-strand word: a wall passes within the probe radius of its centre
+S3_WORD = " ".join(
+    ["-1"]
+    + ["-2"] * 3
+    + ["-3"] * 5
+    + ["1"] * 4
+    + ["-2"] * 2
+    + ["-3", "1", "2", "-3", "-3"]
+    + ["2", "-3", "-3"] * 19
+    + ["-1"] * 8
+    + ["-3", "-1", "-1", "2", "2", "-3", "-1", "2", "3", "1", "-2", "-3"]
 )
 
 FAST_OPTS = IterationOptions(ladder=(53, 128), max_iters=400)
@@ -148,6 +166,107 @@ def test_region_matrices_reproduce_action_exactly():
             assert apply_braid(v, w) == matrix_apply(m.matrix, v)
             hits += 1
         assert hits == 5
+
+
+def _penner_word(rng, n, length):
+    """Every generator, odd ones positive and even ones negative: pseudo-Anosov."""
+    letters = list(range(1, n)) + [rng.randrange(1, n) for _ in range(length - n + 1)]
+    rng.shuffle(letters)
+    return " ".join(str(g if g % 2 else -g) for g in letters)
+
+
+def _penner_words(seed, count):
+    rng = random.Random(seed)
+    words = []
+    for k in range(count):
+        n = 4 + k % 3
+        words.append(parse_braid(_penner_word(rng, n, rng.randint(n - 1, 14)), n))
+    return words
+
+
+def _reference_matrices(w, opts=DEFAULT_OPTIONS):
+    """Trace every probe direction at the mpf centre, keep regions whose closure
+    holds the centre: the probing that the single integer trace replaces."""
+    ladder = tuple(p for p in opts.ladder if p >= 256)
+    d = find_unstable_direction(w, IterationOptions(ladder=ladder))
+    found = {}
+    with mpmath.workprec(2 * d.precision):
+        centre = [mpmath.mpf(x) for x in d.point.flat()]
+        delta = mpmath.mpf(opts.probe_radius)
+        for dirn in _probe_directions(len(centre), opts):
+            flat = [c + delta * x for c, x in zip(centre, dirn)]
+            tr = traced_apply(DynnikovVector.from_flat(w.strands, flat), w)
+            if not tr.signature.has_ties and tr.matrix not in found:
+                rows = {tuple(c // math.gcd(*r) for c in r) for r in tr.constraints}
+                found[tr.matrix] = tuple(sorted(rows))
+        sup = max(abs(x) for x in centre)
+        return {
+            (m, region)
+            for m, region in found.items()
+            if all(
+                sum(c * x for c, x in zip(row, centre))
+                >= -mpmath.mpf("1e-25") * max(abs(c) for c in row) * sup
+                for row in region
+            )
+        }
+
+
+def _counting_traces(monkeypatch):
+    calls = []
+    plain = regions.traced_apply
+
+    def counting(v, w):
+        calls.append(1)
+        return plain(v, w)
+
+    monkeypatch.setattr(regions, "traced_apply", counting)
+    return calls
+
+
+def test_single_trace_matches_full_probing(monkeypatch):
+    calls = _counting_traces(monkeypatch)
+    fast = 0
+    slow_words = [parse_braid("1 2 3 -4", 5), parse_braid(S3_WORD, 4)]
+    for w in _penner_words(11, 30) + slow_words:
+        del calls[:]
+        got = {(m.matrix, m.region) for m in dynnikov_matrices(w)}
+        fast += len(calls) == 1
+        assert got == _reference_matrices(w), w.render()
+    assert fast == 30  # short Penner words never leave the centre's region
+
+
+def test_two_region_word_takes_slow_path(monkeypatch):
+    calls = _counting_traces(monkeypatch)
+    mats = dynnikov_matrices(parse_braid("1 2 3 -4", 5))
+    assert len(calls) == 1 + len(_probe_directions(6, DEFAULT_OPTIONS))
+    assert {m.matrix for m in mats} == {D1_N5, D2_N5}
+
+
+def test_fast_path_needs_margin_to_every_wall():
+    # at (100, 10) sigma_1 has walls a = 0, a = b, b = 0: c.X = 100, 90, 10
+    w = parse_braid("1", 3)
+    X = [100, 10]
+    tr = traced_apply(DynnikovVector.from_flat(3, X), w)
+    assert _in_interior(tr, X, 9)
+    assert not _in_interior(tr, X, 10)  # the ball reaches b = 0
+    X = [10, 10]  # on the wall a = b: a tie
+    assert not _in_interior(traced_apply(DynnikovVector.from_flat(3, X), w), X, 0)
+
+
+def test_penner_words_never_fail_fast():
+    for w in _penner_words(5, 50):
+        _reject_periodic(w)  # raises NonConvergence on a periodic word
+
+
+def test_periodic_words_fail_fast():
+    for text, n in (("1 2 3 4", 5), ("1 2", 3), ("1 2 3 1", 4), ("-2 1 2 3 2", 4)):
+        with pytest.raises(NonConvergence, match="integral lamination"):
+            _reject_periodic(parse_braid(text, n))
+
+
+def test_precision_floor():
+    with pytest.raises(DynbraidError, match="256 bits"):
+        dynnikov_matrices(parse_braid("1 -2", 3), FAST_OPTS)
 
 
 def test_matrix_json():

@@ -15,20 +15,18 @@ import sys
 import mpmath
 
 from dynbraid.braid import parse_braid
-from dynbraid.cli import _svg_arcs
-from dynbraid.regions import enumerate_regions_n3
+from dynbraid.regions import arcs_svg, enumerate_regions_n3
 from dynbraid.spectral import char_poly
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("-w", "--word", required=True, help="signed generator indices")
-    ap.add_argument("--grid", type=int, default=1024)
     ap.add_argument("--svg", help="write the arcs to this SVG file")
     args = ap.parse_args(argv)
 
     w = parse_braid(args.word, 3)
-    arcs = enumerate_regions_n3(w, grid=args.grid)
+    arcs = enumerate_regions_n3(w)
     print(f"{len(arcs)} arcs for {w.render() or '<identity>'!r} on 3 strands")
     for (lo, hi), m in arcs:
         span = float(hi - lo)
@@ -39,7 +37,8 @@ def main(argv=None):
             f"char poly {list(p.coeffs)}"
         )
     if args.svg:
-        _svg_arcs(arcs, args.svg)
+        with open(args.svg, "w") as fh:
+            fh.write(arcs_svg(arcs))
         print(f"wrote {args.svg}")
     return 0
 

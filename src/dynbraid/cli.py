@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -21,6 +22,7 @@ from .coords import DynnikovVector
 from .errors import CoordinateError, DynbraidError, NonConvergence, VerificationFailed
 from .regions import (
     IterationOptions,
+    arcs_svg,
     dynnikov_matrices,
     enumerate_regions_n3,
     find_unstable_direction,
@@ -65,6 +67,9 @@ class RunConfig:
 def _config(args) -> RunConfig:
     if args.digits < 1:
         raise DynbraidError(f"--digits must be at least 1, got {args.digits}")
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cpus:
+        raise DynbraidError(f"--jobs must be between 1 and {cpus}, got {args.jobs}")
     ladder = tuple(int(x) for x in args.precision.split(",")) if args.precision else (53, 128, 256, 512)
     return RunConfig(
         ladder=ladder,
@@ -203,38 +208,21 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _svg_arcs(arcs, path):
-    parts = [
-        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="-1.2 -1.2 2.4 2.4">'
-    ]
-    palette = ["#1b9e77", "#d95f02", "#7570b3", "#e7298a", "#66a61e", "#e6ab02", "#a6761d"]
-    for k, ((lo, hi), _) in enumerate(arcs):
-        large = 1 if float(hi - lo) > 3.14159265 else 0
-        x0, y0 = mpmath.cos(lo), mpmath.sin(lo)
-        x1, y1 = mpmath.cos(hi), mpmath.sin(hi)
-        parts.append(
-            f'<path d="M {float(x0):.5f} {float(y0):.5f} '
-            f'A 1 1 0 {large} 1 {float(x1):.5f} {float(y1):.5f}" '
-            f'stroke="{palette[k % len(palette)]}" stroke-width="0.08" fill="none"/>'
-        )
-    parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts))
-
-
 def cmd_regions3(args) -> int:
     cfg = _config(args)
     w = parse_braid(args.word, 3)
-    arcs = enumerate_regions_n3(w)
+    with mpmath.workdps(cfg.digits + 10):  # atan2 of the exact endpoint rays
+        arcs = enumerate_regions_n3(w)
     rec = [
         {
-            "arc": [mpmath.nstr(lo, 12), mpmath.nstr(hi, 12)],
+            "arc": [mpmath.nstr(lo, cfg.digits), mpmath.nstr(hi, cfg.digits)],
             "matrix": [[str(x) for x in row] for row in m],
         }
         for (lo, hi), m in arcs
     ]
     if args.svg:
-        _svg_arcs(arcs, args.svg)
+        with open(args.svg, "w") as fh:
+            fh.write(arcs_svg(arcs))
     _emit(
         cfg,
         rec,

@@ -12,6 +12,12 @@ by 2^p and rounded to an integer vector is a fixed-point number with p
 fraction bits, and acting on it is exact: no rounding inside the word, and a
 tie in a max is plain equality.  The only rounding is the renormalization
 between iterations and the one rounding of the centre before it is traced.
+
+For n = 3 the whole circle of directions is decomposed exactly.  Every wall
+is a line c.x = 0 with an integer row c, so every arc endpoint is an integer
+ray, and a counterclockwise walk finds them one cone at a time: an integer
+point just past the current ray is traced, and integer cross products order
+the walls of its cone.  Angles are computed only for output.
 """
 
 from __future__ import annotations
@@ -313,54 +319,130 @@ def dynnikov_matrices(
 # full decomposition of the circle of directions for n = 3
 
 
-def _matrix_at_angle(w: BraidWord, theta):
-    for nudge in range(6):
-        t = theta + nudge * mpmath.mpf("1e-9")
-        v = DynnikovVector(3, (mpmath.cos(t),), (mpmath.sin(t),))
-        tr = traced_apply(v, w)
-        if not tr.signature.has_ties:
-            return tr.matrix
-    return None
+def _cross(u, v) -> int:
+    return u[0] * v[1] - u[1] * v[0]
 
 
-def enumerate_regions_n3(w: BraidWord, grid: int = 1024) -> list:
+def _perp(v) -> tuple:
+    """v turned a quarter counterclockwise."""
+    return (-v[1], v[0])
+
+
+def _lower(v) -> bool:
+    """True when the angle of v, taken in [0, 2*pi), is at least pi."""
+    return v[1] < 0 or (v[1] == 0 and v[0] < 0)
+
+
+def _cone_after(w: BraidWord, r: tuple):
+    """The cone just counterclockwise of the integer ray r: (matrix, end ray).
+
+    Traces q = N*r + perp(r) and accepts it when q is tie-free (it is inside
+    its cone) and r satisfies every constraint (r is in the cone's closure),
+    so the whole arc from r to the cone's counterclockwise wall carries q's
+    matrix; otherwise q lay past a wall near r and N is doubled.  The first
+    N, |r|_1 * 2^len(w), is only a guess; the check makes the step exact.
+    The end ray is the first wall perp(c) counterclockwise of q; None when
+    the trace has no constraint, that is when the matrix is the same on the
+    whole circle.
+    """
+    N = (abs(r[0]) + abs(r[1])) << len(w)
+    while True:
+        q = (N * r[0] - r[1], N * r[1] + r[0])
+        tr = traced_apply(DynnikovVector(3, q[:1], q[1:]), w)
+        if not tr.signature.has_ties and all(
+            c[0] * r[0] + c[1] * r[1] >= 0 for c in tr.constraints
+        ):
+            break
+        N *= 2
+    if not tr.constraints:
+        return tr.matrix, None
+    # c.q > 0, so each wall perp(c) lies less than pi counterclockwise of q
+    end = _perp(tr.constraints[0])
+    for c in tr.constraints[1:]:
+        if _cross(_perp(c), end) > 0:
+            end = _perp(c)
+    return tr.matrix, _normalize_row(end)
+
+
+def _walk_n3(w: BraidWord) -> list:
+    """Maximal arcs of constant matrix as exact rays: [(start, end, matrix)].
+
+    Walks counterclockwise from (1, 0), one cone per step, merging neighbours
+    with the same matrix, until a step reaches or passes (1, 0) again.  The
+    arcs run in walk order and the last one may pass (1, 0); a single arc
+    from (1, 0) to (1, 0) is the whole circle.
+    """
+    arcs = []
+    r = (1, 0)
+    while True:
+        matrix, s = _cone_after(w, r)
+        if s is None:
+            return [((1, 0), (1, 0), matrix)]
+        if arcs and arcs[-1][2] == matrix:
+            arcs[-1] = (arcs[-1][0], s, matrix)
+        else:
+            arcs.append((r, s, matrix))
+        # a step turns by at most pi, so it reaches or passes (1, 0) exactly
+        # when it leaves the lower half-plane
+        if _lower(r) and not _lower(s):
+            break
+        r = s
+    # The last step ends at or past (1, 0).  Past it, the last and the first
+    # cone share an open arc, where their linear maps can agree only if they
+    # are equal; so either the two arcs are one, or the walk ends at (1, 0).
+    if len(arcs) == 1:
+        return [((1, 0), (1, 0), matrix)]
+    if arcs[-1][2] == arcs[0][2]:
+        first = arcs.pop(0)
+        arcs[-1] = (arcs[-1][0], first[1], matrix)
+    return arcs
+
+
+def _angle(v):
+    """The angle of v in [0, 2*pi) at the current mpmath working precision."""
+    t = mpmath.atan2(v[1], v[0])
+    return t + 2 * mpmath.pi if t < 0 else t
+
+
+def enumerate_regions_n3(w: BraidWord) -> list:
     """Maximal arcs of constant local matrix on the circle of directions.
 
-    Returns a list of ((theta_lo, theta_hi), matrix) whose arcs cover
-    [0, 2*pi); boundaries are refined by bisection to ~1e-10 radians.
+    Returns a list of ((theta_lo, theta_hi), matrix) whose arcs cover the
+    circle once, sorted by theta_lo in [0, 2*pi); the last theta_hi may pass
+    2*pi.  A word whose matrix is the same everywhere gives ((0, 2*pi), M).
+
+    Every wall is a line c.x = 0 with an integer row c, so every arc endpoint
+    is an integer ray; the walk finds them exactly, with one integer trace
+    per cone (see _cone_after) and integer cross products for the order.
+    Only the returned angles are rounded: atan2 of the endpoint rays at the
+    current mpmath working precision.
     """
     if w.strands != 3:
         raise ValueError("circle decomposition only applies to 3 strands")
-    with mpmath.workprec(80):
-        two_pi = 2 * mpmath.pi
-        step = two_pi / grid
-        angles = [k * step for k in range(grid)]
-        mats = [_matrix_at_angle(w, t) for t in angles]
-        # fill tie points from a neighbor (they sit on boundaries)
-        for k in range(grid):
-            if mats[k] is None:
-                mats[k] = mats[(k + 1) % grid]
-        boundaries = []
-        for k in range(grid):
-            nk = (k + 1) % grid
-            if mats[k] != mats[nk]:
-                lo, hi = angles[k], angles[k] + step
-                mlo = mats[k]
-                while hi - lo > mpmath.mpf("1e-10"):
-                    mid = (lo + hi) / 2
-                    if _matrix_at_angle(w, mid) == mlo:
-                        lo = mid
-                    else:
-                        hi = mid
-                boundaries.append(((lo + hi) / 2, k))
-        if not boundaries:
-            return [((mpmath.mpf(0), two_pi), mats[0])]
-        boundaries.sort(key=lambda p: p[0])
-        cuts = [b for b, _ in boundaries]
-        arcs = []
-        for j, lo in enumerate(cuts):
-            hi = cuts[(j + 1) % len(cuts)]
-            span = (hi - lo) % two_pi
-            mid = lo + span / 2
-            arcs.append(((lo, lo + span), _matrix_at_angle(w, mid)))
-        return arcs
+    out = []
+    for start, end, matrix in _walk_n3(w):
+        lo, hi = _angle(start), _angle(end)
+        if hi <= lo:
+            hi += 2 * mpmath.pi
+        out.append(((lo, hi), matrix))
+    return out
+
+
+def arcs_svg(arcs) -> str:
+    """An SVG portrait of enumerate_regions_n3's arcs, one colour per arc."""
+    parts = ['<svg xmlns="http://www.w3.org/2000/svg" viewBox="-1.2 -1.2 2.4 2.4">']
+    palette = ["#1b9e77", "#d95f02", "#7570b3", "#e7298a", "#66a61e", "#e6ab02", "#a6761d"]
+    style = 'stroke-width="0.08" fill="none"'
+    if len(arcs) == 1:  # an SVG arc whose ends coincide is not drawn
+        parts.append(f'<circle cx="0" cy="0" r="1" stroke="{palette[0]}" {style}/>')
+    else:
+        for k, ((lo, hi), _) in enumerate(arcs):
+            large = 1 if hi - lo > mpmath.pi else 0
+            x0, y0 = float(mpmath.cos(lo)), float(mpmath.sin(lo))
+            x1, y1 = float(mpmath.cos(hi)), float(mpmath.sin(hi))
+            parts.append(
+                f'<path d="M {x0:.5f} {y0:.5f} A 1 1 0 {large} 1 {x1:.5f} {y1:.5f}" '
+                f'stroke="{palette[k % len(palette)]}" {style}/>'
+            )
+    parts.append("</svg>")
+    return "\n".join(parts)

@@ -1,4 +1,5 @@
 import json
+import os
 
 import mpmath
 import pytest
@@ -315,3 +316,37 @@ def test_track_coords_without_measure_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "--measure" in err
+
+
+def test_regions3_digits_are_exact(capsys):
+    code, out, _ = run(capsys, "--digits", "30", "--format", "json", "regions3", "-w", "1 -2")
+    assert code == 0
+    ends = {x for arc in json.loads(out) for x in arc["arc"]}
+    with mpmath.workdps(40):
+        pi = mpmath.pi
+        want = [mpmath.atan(mpmath.mpf(1) / 2), pi / 4, pi / 2, pi, 3 * pi / 2]
+        assert {mpmath.nstr(x, 30) for x in want} <= ends
+
+
+def test_regions3_single_arc_svg_is_drawn(tmp_path, capsys):
+    svg = tmp_path / "arcs.svg"
+    code, out, _ = run(capsys, "regions3", "-w", "1 -1", "--svg", str(svg))
+    assert code == 0
+    assert len(out.splitlines()) == 1
+    assert "<circle" in svg.read_text()
+
+
+@pytest.mark.parametrize("jobs", [0, -1, (os.cpu_count() or 1) + 1])
+def test_jobs_out_of_range_exits_2(tmp_path, capsys, monkeypatch, jobs):
+    import dynbraid.cli as cli
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    words = tmp_path / "words.txt"
+    words.write_text("n=3 1 -2\nn=3 1 1 -2\n")
+    code, out, err = run(capsys, "--jobs", str(jobs), "matrix", "--braid-file", str(words))
+    assert code == 2
+    assert out == ""
+    assert "--jobs" in err

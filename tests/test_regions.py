@@ -303,6 +303,54 @@ def test_regions_n3_rejects_other_strand_counts():
         enumerate_regions_n3(parse_braid("1", 4))
 
 
+NARROW_N3 = "-1 2 -1 1 -2 2 2 -1 2 -1 -1 -1"  # three arcs narrower than 0.01
+
+
+def _circle_words(seed):
+    """One random 3-strand word of each length 2 to 30."""
+    rng = random.Random(seed)
+    return [
+        parse_braid(" ".join(str(rng.choice((1, -1, 2, -2))) for _ in range(n)), 3)
+        for n in range(2, 31)
+    ]
+
+
+def test_regions_n3_finds_narrow_arcs():
+    assert len(enumerate_regions_n3(parse_braid(NARROW_N3, 3))) == 8
+
+
+def test_regions_n3_arc_ends_follow_exact_action():
+    """Each matrix is the exact action just inside both ends of its arc."""
+    words = [parse_braid(NARROW_N3, 3), parse_braid("1 -2", 3)] + _circle_words(7)
+    with mpmath.workdps(60):
+        for w in words:
+            arcs = enumerate_regions_n3(w)
+            for (lo, hi), m in arcs:
+                eps = min((hi - lo) / 4, mpmath.mpf("1e-30"))
+                for theta in (lo + eps, hi - eps):
+                    # a rational point within 1e-60 of the angle
+                    v = DynnikovVector(
+                        3, (Fraction(str(mpmath.cos(theta))),), (Fraction(str(mpmath.sin(theta))),)
+                    )
+                    assert apply_braid(v, w) == matrix_apply(m, v), w.render()
+            # contiguous, once round the circle, a new matrix at every end
+            nexts = arcs[1:] + [((arcs[0][0][0] + 2 * mpmath.pi, None), arcs[0][1])]
+            for ((_, hi), m), ((lo, _), m2) in zip(arcs, nexts):
+                assert abs(hi - lo) < 1e-50, w.render()
+                assert len(arcs) == 1 or m != m2, w.render()
+
+
+def test_regions_n3_traces_per_arc(monkeypatch):
+    """About one integer trace per cone: at most 3 per arc over the seeded words.
+
+    A single word can take more, because a wall of one trace's cone need not
+    change the matrix: the half twist "1 2 1" is linear, one arc, six cones.
+    """
+    calls = _counting_traces(monkeypatch)
+    arcs = sum(len(enumerate_regions_n3(w)) for s in (1, 2, 3) for w in _circle_words(s))
+    assert len(calls) <= 3 * arcs
+
+
 def test_regions_n3_pointwise_oracle():
     """Arc lookup agrees with an independent traced evaluation on a grid."""
     w = parse_braid("1", 3)

@@ -1,7 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 usage or input format error, 3 non-convergence,
-4 verification failure.
+4 verification failure.  ``matrix`` and ``dilatation`` answer every word of a
+braid file: a word that fails is reported on stderr as
+``error: n=<strands> <word>: <reason>``, the other words are still answered,
+and the exit code is the largest among the words.
 """
 
 from __future__ import annotations
@@ -12,20 +15,20 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 import mpmath
 
 from .braid import BraidWord, parse_braid, parse_braid_file
-from .coords import DynnikovVector
+from .coords import DynnikovVector, decode_rational
 from .errors import CoordinateError, DynbraidError, NonConvergence, VerificationFailed
 from .regions import (
+    DEFAULT_OPTIONS,
     IterationOptions,
     arcs_svg,
     dynnikov_matrices,
     enumerate_regions_n3,
-    find_unstable_direction,
 )
 from .spectral import dilatation, isospectral_up_to
 from .traintrack import (
@@ -43,42 +46,32 @@ from .traintrack import (
 from .update import apply_braid
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Deterministic knobs shared by all commands."""
-
-    ladder: tuple = (53, 128, 256, 512)
-    max_iters: int = 5000
-    seed: int = 2023
-    probe_radius: float = 1e-6
-    digits: int = 12
-    fmt: str = "text"  # "text" | "json"
-    jobs: int = 1
-
-    def iteration_options(self) -> IterationOptions:
-        return IterationOptions(
-            ladder=self.ladder,
-            max_iters=self.max_iters,
-            seed=self.seed,
-            probe_radius=self.probe_radius,
-        )
+# errors reported as "error: ..." with an exit code, by main and per batch word
+_USER_ERRORS = (DynbraidError, OSError, ValueError, ZeroDivisionError)
 
 
-def _config(args) -> RunConfig:
+def _exit_code(exc: Exception) -> int:
+    if isinstance(exc, NonConvergence):
+        return 3
+    if isinstance(exc, VerificationFailed):
+        return 4
+    return 2
+
+
+def _config(args) -> IterationOptions:
+    """Check --digits and --jobs, and build the iteration options."""
     if args.digits < 1:
         raise DynbraidError(f"--digits must be at least 1, got {args.digits}")
     cpus = os.cpu_count() or 1
     if not 1 <= args.jobs <= cpus:
         raise DynbraidError(f"--jobs must be between 1 and {cpus}, got {args.jobs}")
-    ladder = tuple(int(x) for x in args.precision.split(",")) if args.precision else (53, 128, 256, 512)
-    return RunConfig(
-        ladder=ladder,
-        max_iters=args.max_iters,
-        seed=args.seed,
-        probe_radius=args.tol,
-        digits=args.digits,
-        fmt=args.format,
-        jobs=args.jobs,
+    ladder = (
+        tuple(int(x) for x in args.precision.split(","))
+        if args.precision
+        else DEFAULT_OPTIONS.ladder
+    )
+    return IterationOptions(
+        ladder=ladder, max_iters=args.max_iters, seed=args.seed, probe_radius=args.tol
     )
 
 
@@ -86,15 +79,7 @@ def _parse_vector(text: str, strands: int) -> DynnikovVector:
     text = text.strip()
     if text.startswith("{"):
         return DynnikovVector.from_json(text)
-    entries = json.loads(text)
-    dec = []
-    for x in entries:
-        if isinstance(x, str):
-            f = Fraction(x)
-            dec.append(int(f) if f.denominator == 1 else f)
-        else:
-            dec.append(x)
-    return DynnikovVector.from_flat(strands, dec)
+    return DynnikovVector.from_flat(strands, [decode_rational(x) for x in json.loads(text)])
 
 
 def _check_finite(v: DynnikovVector, what: str) -> None:
@@ -111,8 +96,15 @@ def _words(args) -> list:
     return [parse_braid(args.word, args.strands)]
 
 
-def _emit(cfg: RunConfig, obj, text_lines):
-    if cfg.fmt == "json":
+def _one_word(args) -> BraidWord:
+    words = _words(args)
+    if len(words) != 1:
+        raise DynbraidError(f"{args.command} takes one word, the braid file has {len(words)}")
+    return words[0]
+
+
+def _emit(args, obj, text_lines):
+    if args.format == "json":
         print(json.dumps(obj))
     else:
         for line in text_lines:
@@ -124,19 +116,19 @@ def _emit(cfg: RunConfig, obj, text_lines):
 
 
 def cmd_act(args) -> int:
-    cfg = _config(args)
-    w = _words(args)[0]
+    _config(args)
+    w = _one_word(args)
     v = _parse_vector(args.vector, w.strands)
     _check_finite(v, "vector")
     out = apply_braid(v, w)
     _check_finite(out, "image (float overflow)")
-    _emit(cfg, json.loads(out.to_json()), [" ".join(str(x) for x in out.flat())])
+    _emit(args, json.loads(out.to_json()), [" ".join(str(x) for x in out.flat())])
     return 0
 
 
 def _matrix_record(w: BraidWord, opts: IterationOptions):
     mats = dynnikov_matrices(w, opts)
-    return {
+    rec = {
         "n": w.strands,
         "word": w.render(),
         "matrices": [
@@ -147,57 +139,83 @@ def _matrix_record(w: BraidWord, opts: IterationOptions):
             for m in mats
         ],
     }
+    lines = [f"# {rec['word']} (n={rec['n']}): {len(rec['matrices'])} matrices"]
+    for m in rec["matrices"]:
+        lines += ["  [" + ", ".join(row) + "]" for row in m["matrix"]]
+        lines.append("")
+    return rec, lines
+
+
+def _dilatation_record(w: BraidWord, opts: IterationOptions, digits: int):
+    m = dynnikov_matrices(w, opts)[0]
+    lam = m.dilatation
+    if digits > 30:  # m.dilatation is bisected to 1e-30 only
+        lam = dilatation(m.matrix_list(), tol=Fraction(1, 10 ** (digits + 5)))
+    with mpmath.workdps(digits + 10):
+        log = mpmath.log(lam)
+    rec = {
+        "word": w.render(),
+        "dilatation": mpmath.nstr(lam, digits),
+        "log": mpmath.nstr(log, digits),
+    }
+    return rec, [f"{rec['dilatation']}  (log {rec['log']})"]
+
+
+def _run_word(op, w: BraidWord):
+    """One word of a batch: (0, (record, text lines)) or (exit code, reason).
+
+    Reports every error that main would report instead of raising it, so
+    that one failed word cannot lose the others, in a worker process or not.
+    """
+    try:
+        return 0, op(w)
+    except _USER_ERRORS as exc:
+        return _exit_code(exc), str(exc)
+
+
+def _run_batch(args, op) -> int:
+    """Answer every word in order with op, serially or on --jobs processes."""
+    words = _words(args)
+    run = partial(_run_word, op)
+    if args.jobs > 1 and len(words) > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            return _report(args, words, pool.map(run, words))
+    return _report(args, words, map(run, words))
+
+
+def _report(args, words, results) -> int:
+    """Print each record or error line; the largest exit code among them."""
+    worst = 0
+    for w, (code, out) in zip(words, results):
+        if code:
+            # a word from the command line is not repeated back
+            name = f"n={w.strands} {w.render()}: " if args.braid_file else ""
+            print(f"error: {name}{out}", file=sys.stderr)
+        else:
+            _emit(args, *out)
+        worst = max(worst, code)
+    return worst
 
 
 def cmd_matrix(args) -> int:
-    cfg = _config(args)
-    words = _words(args)
-    opts = cfg.iteration_options()
-    if cfg.jobs > 1 and len(words) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            records = list(pool.map(_matrix_record, words, [opts] * len(words)))
-    else:
-        records = [_matrix_record(w, opts) for w in words]
-    for rec in records:
-        if cfg.fmt == "json":
-            print(json.dumps(rec))
-        else:
-            print(f"# {rec['word']} (n={rec['n']}): {len(rec['matrices'])} matrices")
-            for m in rec["matrices"]:
-                for row in m["matrix"]:
-                    print("  [" + ", ".join(row) + "]")
-                print()
-    return 0
+    return _run_batch(args, partial(_matrix_record, opts=_config(args)))
 
 
 def cmd_dilatation(args) -> int:
-    cfg = _config(args)
-    for w in _words(args):
-        m = dynnikov_matrices(w, cfg.iteration_options())[0]
-        lam = m.dilatation
-        if cfg.digits > 30:  # m.dilatation is bisected to 1e-30 only
-            lam = dilatation(m.matrix_list(), tol=Fraction(1, 10 ** (cfg.digits + 5)))
-        with mpmath.workdps(cfg.digits + 10):
-            log = mpmath.log(lam)
-        rec = {
-            "word": w.render(),
-            "dilatation": mpmath.nstr(lam, cfg.digits),
-            "log": mpmath.nstr(log, cfg.digits),
-        }
-        _emit(cfg, rec, [f"{rec['dilatation']}  (log {rec['log']})"])
-    return 0
+    op = partial(_dilatation_record, opts=_config(args), digits=args.digits)
+    return _run_batch(args, op)
 
 
 def cmd_compare(args) -> int:
-    cfg = _config(args)
+    opts = _config(args)
     with open(args.transition) as fh:
         T = load_transition_matrix(fh.read())
-    w = _words(args)[0]
-    mats = dynnikov_matrices(w, cfg.iteration_options())
+    w = _one_word(args)
+    mats = dynnikov_matrices(w, opts)
     D = mats[0].matrix_list()
     report = isospectral_up_to(D, T.main_block(), args.mode)
     _emit(
-        cfg,
+        args,
         json.loads(report.to_json()),
         [
             f"isospectral ({args.mode}): {report.isospectral}",
@@ -209,13 +227,13 @@ def cmd_compare(args) -> int:
 
 
 def cmd_regions3(args) -> int:
-    cfg = _config(args)
+    _config(args)
     w = parse_braid(args.word, 3)
-    with mpmath.workdps(cfg.digits + 10):  # atan2 of the exact endpoint rays
+    with mpmath.workdps(args.digits + 10):  # atan2 of the exact endpoint rays
         arcs = enumerate_regions_n3(w)
     rec = [
         {
-            "arc": [mpmath.nstr(lo, cfg.digits), mpmath.nstr(hi, cfg.digits)],
+            "arc": [mpmath.nstr(lo, args.digits), mpmath.nstr(hi, args.digits)],
             "matrix": [[str(x) for x in row] for row in m],
         }
         for (lo, hi), m in arcs
@@ -224,29 +242,17 @@ def cmd_regions3(args) -> int:
         with open(args.svg, "w") as fh:
             fh.write(arcs_svg(arcs))
     _emit(
-        cfg,
+        args,
         rec,
         [f"[{r['arc'][0]}, {r['arc'][1]}]  {r['matrix']}" for r in rec],
     )
     return 0
 
 
-def _parse_measure(text: str) -> Measure:
-    doc = json.loads(text)
-    weights = {}
-    for k, v in doc.items():
-        if isinstance(v, str):
-            f = Fraction(v)
-            weights[k] = int(f) if f.denominator == 1 else f
-        else:
-            weights[k] = v
-    return Measure(weights)
-
-
 def _load_rational_matrix(path: str):
     with open(path) as fh:
         doc = json.load(fh)
-    return [[Fraction(x) for x in row] for row in doc["matrix"]]
+    return [[decode_rational(x) for x in row] for row in doc["matrix"]]
 
 
 # positional arguments of each track subcommand
@@ -260,7 +266,7 @@ _TRACK_ARGS = {
 
 
 def cmd_track(args) -> int:
-    cfg = _config(args)
+    _config(args)
     sub = args.track_cmd
     names = _TRACK_ARGS[sub]
     if len(args.files) != len(names.split()):
@@ -270,12 +276,12 @@ def cmd_track(args) -> int:
     if sub == "pf":
         with open(args.files[0]) as fh:
             T = load_transition_matrix(fh.read())
-        lam, v = transition_pf(T, precision=cfg.digits + 10)
+        lam, v = transition_pf(T, precision=args.digits + 10)
         rec = {
-            "lambda": mpmath.nstr(lam, cfg.digits),
-            "eigenvector": [mpmath.nstr(x, cfg.digits) for x in v],
+            "lambda": mpmath.nstr(lam, args.digits),
+            "eigenvector": [mpmath.nstr(x, args.digits) for x in v],
         }
-        _emit(cfg, rec, [f"lambda = {rec['lambda']}", f"v = {rec['eigenvector']}"])
+        _emit(args, rec, [f"lambda = {rec['lambda']}", f"v = {rec['eigenvector']}"])
     elif sub == "pinch":
         with open(args.files[0]) as fh:
             track = load_track(fh.read())
@@ -290,26 +296,26 @@ def cmd_track(args) -> int:
             "branches": len(new.branches),
             "switches": len(new.switches),
         }
-        _emit(cfg, rec, [f"rank {new.rank} complete {new.is_complete}"])
+        _emit(args, rec, [f"rank {new.rank} complete {new.is_complete}"])
     elif sub == "extend":
         with open(args.files[0]) as fh:
             track = load_track(fh.read())
         count = diagonal_extensions_count(track)
         tracks = enumerate_diagonal_extensions(track)
         rec = {"count": count, "enumerated": len(tracks)}
-        _emit(cfg, rec, [f"{count} complete diagonal extensions"])
+        _emit(args, rec, [f"{count} complete diagonal extensions"])
     elif sub == "coords":
         with open(args.files[0]) as fh:
             track = load_track(fh.read())
-        mu = _parse_measure(args.measure)
+        mu = Measure({k: decode_rational(x) for k, x in json.loads(args.measure).items()})
         v = change_of_coords(track, mu)
-        _emit(cfg, json.loads(v.to_json()), [" ".join(str(x) for x in v.flat())])
+        _emit(args, json.loads(v.to_json()), [" ".join(str(x) for x in v.flat())])
     elif sub == "conjugacy":
         D = _load_rational_matrix(args.files[0])
         L = _load_rational_matrix(args.files[1])
         Tp = _load_rational_matrix(args.files[2])
         ok = verify_conjugacy(D, L, Tp)
-        _emit(cfg, {"conjugate": ok}, [str(ok)])
+        _emit(args, {"conjugate": ok}, [str(ok)])
         if not ok:
             return 4
     else:  # pragma: no cover - argparse restricts choices
@@ -329,10 +335,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument("--format", choices=("text", "json"), default="text")
     top.add_argument("--precision", help="comma-separated mantissa-bit ladder")
-    top.add_argument("--tol", type=float, default=1e-6, help="probe radius")
-    top.add_argument("--seed", type=int, default=2023)
+    top.add_argument(
+        "--tol", type=float, default=DEFAULT_OPTIONS.probe_radius, help="probe radius"
+    )
+    top.add_argument("--seed", type=int, default=DEFAULT_OPTIONS.seed)
     top.add_argument("--digits", type=int, default=12)
-    top.add_argument("--max-iters", type=int, default=5000)
+    top.add_argument("--max-iters", type=int, default=DEFAULT_OPTIONS.max_iters)
     top.add_argument("--jobs", type=int, default=1)
     subs = top.add_subparsers(dest="command", required=True)
 
@@ -381,15 +389,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NonConvergence as exc:
+    except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except VerificationFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (DynbraidError, OSError, ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

@@ -23,6 +23,15 @@ def _is_exact(x) -> bool:
     return isinstance(x, (int, Fraction))
 
 
+def decode_rational(x):
+    """A JSON entry as a scalar: a decimal or rational string ("3", "-1/2",
+    "0.25") becomes an int or a Fraction; a number is returned as it is."""
+    if isinstance(x, str):
+        f = Fraction(x)
+        return f.numerator if f.denominator == 1 else f
+    return x
+
+
 @dataclass(frozen=True)
 class DynnikovVector:
     """A nonzero point (a, b) of S_n."""
@@ -68,14 +77,11 @@ class DynnikovVector:
     def from_json(cls, text: str) -> "DynnikovVector":
         doc = json.loads(text)
         n = int(doc["n"])
-
-        def dec(x):
-            if isinstance(x, str):
-                f = Fraction(x)
-                return int(f) if f.denominator == 1 else f
-            return x
-
-        return cls(n, tuple(dec(x) for x in doc["a"]), tuple(dec(x) for x in doc["b"]))
+        return cls(
+            n,
+            tuple(decode_rational(x) for x in doc["a"]),
+            tuple(decode_rational(x) for x in doc["b"]),
+        )
 
 
 @dataclass(frozen=True)

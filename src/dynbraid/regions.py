@@ -23,6 +23,7 @@ the walls of its cone.  Angles are computed only for output.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -33,7 +34,7 @@ import mpmath
 from .braid import BraidWord, inverse
 from .coords import DynnikovVector
 from .errors import DynbraidError, NonConvergence, VerificationFailed
-from .spectral import dilatation
+from .spectral import SpectrumReport, dilatation, isospectral_up_to, mat_pow
 from .update import BranchSignature, apply_braid, traced_apply
 
 
@@ -45,16 +46,20 @@ class IterationOptions:
     max_iters: int = 5000
     seed: int = 2023
     probe_radius: float = 1e-6
-    random_probes_per_dim: int = 8
 
     def __post_init__(self):
         if list(self.ladder) != sorted(set(self.ladder)):
             raise ValueError("precision ladder must be strictly increasing")
         if self.max_iters <= 0 or self.probe_radius <= 0:
             raise ValueError("numeric options must be positive")
+        if not math.isfinite(self.probe_radius):
+            raise ValueError(f"probe radius must be finite, got {self.probe_radius}")
 
 
 DEFAULT_OPTIONS = IterationOptions()
+
+# random probe directions per coordinate, beside the 2*dim axis directions
+RANDOM_PROBES_PER_DIM = 8
 
 
 @dataclass(frozen=True)
@@ -203,7 +208,7 @@ def _probe_directions(dim: int, opts: IterationOptions):
         e[k] = -1.0
         dirs.append(tuple(e))
     rng = random.Random(opts.seed + 1)
-    for _ in range(opts.random_probes_per_dim * dim):
+    for _ in range(RANDOM_PROBES_PER_DIM * dim):
         dirs.append(tuple(rng.uniform(-1, 1) for _ in range(dim)))
     return dirs
 
@@ -313,6 +318,12 @@ def dynnikov_matrices(
             if abs(m.dilatation - radius) > 1e-12 * radius:
                 raise VerificationFailed("candidate matrices disagree on spectral radius")
     return results
+
+
+def compare_power(w: BraidWord, m: int, T) -> SpectrumReport:
+    """Compare a Dynnikov matrix of w^m with T^m up to eigenvalues 1."""
+    D = dynnikov_matrices(w ** m)[0].matrix
+    return isospectral_up_to([list(r) for r in D], mat_pow(T, m), "eigenvalues_one")
 
 
 # ---------------------------------------------------------------------------

@@ -296,7 +296,7 @@ def isospectral_up_to(M1, M2, mode: Mode) -> SpectrumReport:
 
 
 # ---------------------------------------------------------------------------
-# double cover and power comparison
+# double cover and matrix powers
 
 
 def double_cover_lift(A, B):
@@ -325,14 +325,6 @@ def mat_pow(A, m: int):
         base = mat_mul(base, base)
         m >>= 1
     return out
-
-
-def compare_power(w, m: int, T) -> SpectrumReport:
-    """Compare a Dynnikov matrix of w^m with T^m up to eigenvalues 1."""
-    from .regions import dynnikov_matrices
-
-    D = dynnikov_matrices(w ** m)[0].matrix
-    return isospectral_up_to([list(r) for r in D], mat_pow(T, m), "eigenvalues_one")
 
 
 # ---------------------------------------------------------------------------

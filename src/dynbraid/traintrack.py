@@ -11,6 +11,14 @@ Measures live on branches and satisfy the switch conditions.  Path measures
 are computed by interval propagation: a branch of weight w is the interval
 [0, w); at a switch the ends stack in list order from offset 0, and a leaf
 interval transfers by offset arithmetic with clipping.
+
+The chart change to Dynnikov coordinates is one generic computation over +,
+-, min and max.  Run on numbers it gives the coordinates; run on the jets and
+the recorder of ``update`` at an exact basepoint it gives the local matrix L
+of the paper's conjugacy D.L = L.T', with a tie at the basepoint reported as
+TieAtBasepoint.  All exact linear algebra (the infinitesimal weights, L^-1)
+goes through one rational elimination, and products through
+``spectral.mat_mul``.
 """
 
 from __future__ import annotations
@@ -24,9 +32,15 @@ from math import comb
 import mpmath
 
 from .coords import DynnikovVector, TriangleCoords, from_triangle
-from .errors import NotIrreducible, TieAtBasepoint, TrackFormatError, VerificationFailed
-from .spectral import CharPoly, char_poly, dilatation
-from .errors import NoDominantRealRoot
+from .errors import (
+    NoDominantRealRoot,
+    NotIrreducible,
+    TieAtBasepoint,
+    TrackFormatError,
+    VerificationFailed,
+)
+from .spectral import dilatation, mat_mul
+from .update import Jet, Recorder
 
 # ---------------------------------------------------------------------------
 # core types
@@ -617,12 +631,12 @@ def enumerate_diagonal_extensions(track: TrainTrack) -> list:
 # path measures by interval propagation
 
 
-def _end_offsets(track: TrainTrack, mu):
+def _end_offsets(track: TrainTrack, mu, zero):
     """Offset of every half-branch slot within its side's stack."""
     offsets = {}
     for s in track.switches:
         for side, ids in (("A", s.sideA), ("B", s.sideB)):
-            acc = 0
+            acc = zero
             for pos, bid in enumerate(ids):
                 offsets[(s.id, side, pos)] = acc
                 acc = acc + mu[bid]
@@ -640,7 +654,7 @@ def _path_measure_generic(track: TrainTrack, path: TrainPath, mu, mn, mx, zero):
         raise TrackFormatError("empty train path")
     first = path.steps[0][0]
     lo, hi = zero, zero + mu[first]
-    offsets = _end_offsets(track, mu)
+    offsets = _end_offsets(track, mu, zero)
     for prev, cur in zip(path.steps, path.steps[1:]):
         _, exit_end = _oriented_ends(track, prev)
         entry_end, _ = _oriented_ends(track, cur)
@@ -736,112 +750,42 @@ def change_of_coords(track: TrainTrack, mu: Measure) -> DynnikovVector:
 # --- linearization ---------------------------------------------------------
 
 
-class _LinJet:
-    """Value plus gradient row over the main-branch weights."""
-
-    __slots__ = ("val", "row")
-
-    def __init__(self, val, row):
-        self.val = val
-        self.row = row
-
-    def __add__(self, other):
-        if not isinstance(other, _LinJet):
-            other = _LinJet(other, (0,) * len(self.row))
-        return _LinJet(self.val + other.val, tuple(x + y for x, y in zip(self.row, other.row)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if not isinstance(other, _LinJet):
-            other = _LinJet(other, (0,) * len(self.row))
-        return _LinJet(self.val - other.val, tuple(x - y for x, y in zip(self.row, other.row)))
-
-    def __rmul__(self, c):
-        return _LinJet(c * self.val, tuple(c * x for x in self.row))
-
-    def __truediv__(self, c):
-        f = Fraction(1, c)
-        return _LinJet(self.val * f, tuple(x * f for x in self.row))
-
-
-def _jet_min(x, y):
-    if x.val == y.val:
-        if x.row != y.row:
-            raise TieAtBasepoint("basepoint lies on a linearity wall")
-        return x
-    return x if x.val < y.val else y
-
-
-def _jet_max(x, y):
-    if x.val == y.val:
-        if x.row != y.row:
-            raise TieAtBasepoint("basepoint lies on a linearity wall")
-        return x
-    return x if x.val > y.val else y
-
-
-def _solve_infinitesimals(track: TrainTrack, jets: dict, mu0: Measure):
+def _solve_infinitesimals(track: TrainTrack, jets: dict, mu0: Measure, zero: Jet):
     """Express infinitesimal weights through the main ones.
 
-    Solves the switch-condition system exactly; raises if it does not
-    determine every infinitesimal branch.
+    Solves the switch-condition system exactly, with each jet right-hand side
+    as the row [val, *row]; raises if it does not determine every
+    infinitesimal branch.
     """
     unknowns = [b.id for b in track.branches if b.kind != "main"]
-    dim = len(jets[next(iter(jets))].row) if jets else 0
     if not unknowns:
         return {}
     index = {bid: k for k, bid in enumerate(unknowns)}
-    rows = []
+    coeffs = []
     rhs = []
     for s in track.switches:
         coeff = [0] * len(unknowns)
-        acc = _LinJet(0, (0,) * dim)
+        acc = zero
         for sign, ids in ((1, s.sideA), (-1, s.sideB)):
             for bid in ids:
                 if bid in index:
                     coeff[index[bid]] += sign
                 else:
                     acc = acc + sign * jets[bid]
-        rows.append([Fraction(c) for c in coeff])
-        rhs.append(_LinJet(0, (0,) * dim) - acc)
-    # Gaussian elimination with jet right-hand sides
-    n_unk = len(unknowns)
-    pivots = {}
-    r = 0
-    for col in range(n_unk):
-        piv = None
-        for k in range(r, len(rows)):
-            if rows[k][col] != 0:
-                piv = k
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        rhs[r], rhs[piv] = rhs[piv], rhs[r]
-        inv = Fraction(1) / rows[r][col]
-        rows[r] = [c * inv for c in rows[r]]
-        rhs[r] = inv * rhs[r]
-        for k in range(len(rows)):
-            if k != r and rows[k][col] != 0:
-                f = rows[k][col]
-                rows[k] = [c - f * d for c, d in zip(rows[k], rows[r])]
-                rhs[k] = rhs[k] - f * rhs[r]
-        pivots[col] = r
-        r += 1
-    if len(pivots) != n_unk:
+        coeffs.append(coeff)
+        rhs.append([-acc.val, *(-x for x in acc.row)])
+    solution = _solve_frac(coeffs, rhs)
+    if solution is None:
         raise TrackFormatError(
             "switch conditions do not determine the infinitesimal weights"
         )
     out = {}
-    for bid, col in index.items():
-        jet = rhs[pivots[col]]
-        expect = mu0[bid]
-        if jet.val != expect:
+    for bid, (val, *row) in zip(unknowns, solution):
+        if val != mu0[bid]:
             raise TrackFormatError(
                 f"measure entry for {bid!r} conflicts with the switch conditions"
             )
-        out[bid] = jet
+        out[bid] = Jet(val, tuple(row))
     return out
 
 
@@ -854,18 +798,18 @@ def linearize_change_of_coords(track: TrainTrack, mu0: Measure):
     """
     main = track.main_branches()
     dim = len(main)
+    zero = Jet(0, (0,) * dim)
     jets = {
-        bid: _LinJet(
-            Fraction(mu0[bid]), tuple(Fraction(int(k == i)) for k in range(dim))
-        )
+        bid: Jet(Fraction(mu0[bid]), tuple(int(k == i) for k in range(dim)))
         for i, bid in enumerate(main)
     }
-    jets.update(_solve_infinitesimals(track, jets, mu0))
-    mu = Measure(jets)
-    zero = _LinJet(Fraction(0), (Fraction(0),) * dim)
+    jets.update(_solve_infinitesimals(track, jets, mu0, zero))
+    rec = Recorder()
     a, b = _change_of_coords_generic(
-        track, mu, _jet_min, _jet_max, zero, lambda j: j / 2
+        track, Measure(jets), rec.mn, rec.mx, zero, lambda j: j / 2
     )
+    if any(rec.ties):
+        raise TieAtBasepoint("basepoint lies on a linearity wall")
     return [list(j.row) for j in a + b]
 
 
@@ -877,27 +821,34 @@ def _frac_matrix(M):
     return [[Fraction(x) for x in row] for row in M]
 
 
-def _mat_mul_frac(A, B):
-    return [
-        [sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A
-    ]
+def _solve_frac(A, B):
+    """X with A.X = B, by exact Gauss-Jordan elimination over the rationals.
+
+    A may have more rows than columns; the extra equations are not checked.
+    Returns None when the columns of A are not independent.
+    """
+    rows = [[Fraction(x) for x in a] + [Fraction(x) for x in b] for a, b in zip(A, B)]
+    cols = len(A[0]) if A else 0
+    for col in range(cols):
+        piv = next((k for k in range(col, len(rows)) if rows[k][col] != 0), None)
+        if piv is None:
+            return None
+        rows[col], rows[piv] = rows[piv], rows[col]
+        inv = 1 / rows[col][col]
+        rows[col] = [c * inv for c in rows[col]]
+        for k in range(len(rows)):
+            f = rows[k][col]
+            if k != col and f != 0:
+                rows[k] = [c - f * d for c, d in zip(rows[k], rows[col])]
+    return [row[cols:] for row in rows[:cols]]
 
 
 def _mat_inv_frac(M):
     n = len(M)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(M)]
-    for col in range(n):
-        piv = next((k for k in range(col, n) if aug[k][col] != 0), None)
-        if piv is None:
-            raise VerificationFailed("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [c * inv for c in aug[col]]
-        for k in range(n):
-            if k != col and aug[k][col] != 0:
-                f = aug[k][col]
-                aug[k] = [c - f * d for c, d in zip(aug[k], aug[col])]
-    return [row[n:] for row in aug]
+    inv = _solve_frac(M, [[int(i == j) for j in range(n)] for i in range(n)])
+    if inv is None:
+        raise VerificationFailed("matrix is singular")
+    return inv
 
 
 def verify_conjugacy(D, L, Tp) -> bool:
@@ -906,7 +857,7 @@ def verify_conjugacy(D, L, Tp) -> bool:
     if not (len(D) == len(L) == len(Tp)):
         raise VerificationFailed("dimension mismatch")
     _mat_inv_frac(L)  # singular L is an error, not a False verdict
-    return _mat_mul_frac(D, L) == _mat_mul_frac(L, Tp)
+    return mat_mul(D, L) == mat_mul(L, Tp)
 
 
 def solve_completion(D, L, main_count: int):
@@ -916,7 +867,7 @@ def solve_completion(D, L, main_count: int):
     right, permutation lower right), and returns (Tp, completion block A).
     """
     Df, Lf = _frac_matrix(D), _frac_matrix(L)
-    M = _mat_mul_frac(_mat_mul_frac(_mat_inv_frac(Lf), Df), Lf)
+    M = mat_mul(mat_mul(_mat_inv_frac(Lf), Df), Lf)
     n = len(M)
     for row in M:
         for x in row:

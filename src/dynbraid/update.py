@@ -2,10 +2,18 @@
 
 Each generator acts by explicit formulas combining +, - and max; once the
 winning argument of every max node is fixed, the action is linear with integer
-coefficients.  The plain entry points just compute values; the traced entry
-points additionally record which max arguments won (a branch signature), the
-resulting integer matrix, and the linear inequalities that cut out the region
-on which that matrix is valid.
+coefficients.  The plain entry points just compute values, on any scalars; the
+traced entry points additionally record which max arguments won (a branch
+signature), the resulting integer matrix, and the linear inequalities that cut
+out the region on which that matrix is valid.
+
+Tracing takes exact (int or Fraction) coordinates only, so a tie is plain
+equality of two arguments with different rows.  The update rules are
+positively homogeneous, so a direction is traced exactly by scaling it to an
+integer point.  The jet and the recorder behind tracing (a value with its
+gradient row, and max/min that record winners, ties and constraints) are the
+package's one exact linearization: the train-track chart change is linearized
+with them too.
 
 Only the coordinates with index in {i-1, i} are touched by sigma_i^{+-1}.
 """
@@ -14,8 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath
 
 from .braid import BraidWord
 from .coords import DynnikovVector
@@ -114,8 +120,8 @@ class BranchSignature:
         return tuple(c for c, _ in self.letters)
 
 
-class _Jet:
-    """A scalar value together with its integer gradient row."""
+class Jet:
+    """A value together with its gradient row: a linear function near a point."""
 
     __slots__ = ("val", "row")
 
@@ -124,17 +130,29 @@ class _Jet:
         self.row = row
 
     def __add__(self, other):
-        return _Jet(self.val + other.val, tuple(x + y for x, y in zip(self.row, other.row)))
+        return Jet(self.val + other.val, tuple(x + y for x, y in zip(self.row, other.row)))
 
     def __sub__(self, other):
-        return _Jet(self.val - other.val, tuple(x - y for x, y in zip(self.row, other.row)))
+        return Jet(self.val - other.val, tuple(x - y for x, y in zip(self.row, other.row)))
+
+    def __rmul__(self, c):
+        return Jet(c * self.val, tuple(c * x for x in self.row))
+
+    def __truediv__(self, c):
+        f = Fraction(1, c)
+        return Jet(self.val * f, tuple(x * f for x in self.row))
 
 
-class _Recorder:
-    def __init__(self, dim, exact, tie_tol):
-        self.dim = dim
-        self.exact = exact
-        self.tie_tol = tie_tol
+class Recorder:
+    """max and min of jets that record the winner, ties and region constraints.
+
+    A tie is two arguments with equal values and different rows: there the
+    winner, and so the linear piece, changes.  Each losing argument whose row
+    differs from the winner's adds the constraint row c with c.x >= 0 on the
+    region where the same argument keeps winning.
+    """
+
+    def __init__(self):
         self.choices = []
         self.ties = []
         self.constraints = []
@@ -144,22 +162,25 @@ class _Recorder:
         for k in range(1, len(jets)):
             if jets[k].val > jets[best].val:
                 best = k
+        return self._take(jets, best, False)
+
+    def mn(self, *jets):
+        best = 0
+        for k in range(1, len(jets)):
+            if jets[k].val < jets[best].val:
+                best = k
+        return self._take(jets, best, True)
+
+    def _take(self, jets, best, is_min):
         win = jets[best]
         tie = False
         for k, jet in enumerate(jets):
             if k == best:
                 continue
-            gap = win.val - jet.val
-            if self.exact:
-                close = gap == 0
-            else:
-                scale = max(abs(win.val), abs(jet.val), 1)
-                close = gap <= self.tie_tol * scale
-            if close and jet.row != win.row:
-                tie = True
             row = tuple(x - y for x, y in zip(win.row, jet.row))
             if any(row):
-                self.constraints.append(row)
+                tie = tie or jet.val == win.val
+                self.constraints.append(tuple(-x for x in row) if is_min else row)
         self.choices.append(best)
         self.ties.append(tie)
         return win
@@ -176,30 +197,27 @@ class TraceResult:
         return [list(r) for r in self.matrix]
 
 
-def _tie_tolerance(entries) -> float:
-    for x in entries:
-        if isinstance(x, mpmath.mpf):
-            return mpmath.mpf(2) ** (-(mpmath.mp.prec // 2))
-    return 2.0 ** -26
-
-
 def traced_apply(v: DynnikovVector, w: BraidWord) -> TraceResult:
     """Apply w to v recording signature, local matrix and region constraints.
 
-    Exact in rational arithmetic: whenever the signature is tie-free, the
-    returned matrix reproduces apply_braid on a neighborhood of v.
+    v must have exact (int or Fraction) entries, so that a tie is plain
+    equality; whenever the signature is tie-free, the returned matrix
+    reproduces apply_braid on a neighborhood of v.
     """
     if v.strands != w.strands:
         raise BraidFormatError(
             f"strand mismatch: vector has {v.strands}, word has {w.strands}"
         )
+    if not v.is_exact():
+        raise CoordinateError(
+            f"traced_apply needs int or Fraction entries, got {list(v.flat())}"
+        )
     flat = v.flat()
     dim = len(flat)
-    exact = v.is_exact()
-    rec = _Recorder(dim, exact, _tie_tolerance(flat))
-    zero = _Jet(0 if exact else flat[0] * 0, (0,) * dim)
+    rec = Recorder()
+    zero = Jet(0, (0,) * dim)
     jets = [
-        _Jet(x, tuple(1 if j == k else 0 for j in range(dim)))
+        Jet(x, tuple(1 if j == k else 0 for j in range(dim)))
         for k, x in enumerate(flat)
     ]
     m = v.strands - 2

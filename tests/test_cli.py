@@ -350,3 +350,46 @@ def test_jobs_out_of_range_exits_2(tmp_path, capsys, monkeypatch, jobs):
     assert code == 2
     assert out == ""
     assert "--jobs" in err
+
+
+@pytest.mark.parametrize("command", ["matrix", "dilatation"])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_batch_answers_every_word(tmp_path, capsys, monkeypatch, command, jobs):
+    import dynbraid.cli as cli
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # --jobs 2 on any machine
+    words = tmp_path / "words.txt"
+    words.write_text("n=3 1 -2\nn=4 1 1 1\nn=3 1 -2 1 -2\n")
+    code, out, err = run(
+        capsys, "--format", "json", "--jobs", jobs, command, "--braid-file", str(words)
+    )
+    assert code == 3
+    assert [json.loads(line)["word"] for line in out.splitlines()] == ["1 -2", "1 -2 1 -2"]
+    assert err.splitlines() == [
+        "error: n=4 1 1 1: power 3 of the word fixes an integral lamination: "
+        "word is not pseudo-Anosov"
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["act", "-v", "[1, 2]"],
+        ["compare", "--transition", str(FIXTURES / "tm_b4_word.json")],
+    ],
+)
+def test_one_word_commands_reject_longer_braid_files(tmp_path, capsys, argv):
+    words = tmp_path / "words.txt"
+    words.write_text("n=3 1 -2\nn=3 1 1 -2\n")
+    code, out, err = run(capsys, argv[0], "--braid-file", str(words), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert "the braid file has 2" in err
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_non_finite_tol_exits_2(capsys, tol):
+    code, out, err = run(capsys, "--tol", tol, "matrix", "-n", "3", "-w", "1 -2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: probe radius must be finite")

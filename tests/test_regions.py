@@ -184,6 +184,13 @@ def _penner_words(seed, count):
     return words
 
 
+def _exact(x):
+    """The exact dyadic value of an mpf, from its (sign, mantissa, exponent)."""
+    sign, man, exp, _ = x._mpf_
+    value = Fraction(man) * Fraction(2) ** exp
+    return -value if sign else value
+
+
 def _reference_matrices(w, opts=DEFAULT_OPTIONS):
     """Trace every probe direction at the mpf centre, keep regions whose closure
     holds the centre: the probing that the single integer trace replaces."""
@@ -194,7 +201,7 @@ def _reference_matrices(w, opts=DEFAULT_OPTIONS):
         centre = [mpmath.mpf(x) for x in d.point.flat()]
         delta = mpmath.mpf(opts.probe_radius)
         for dirn in _probe_directions(len(centre), opts):
-            flat = [c + delta * x for c, x in zip(centre, dirn)]
+            flat = [_exact(c + delta * x) for c, x in zip(centre, dirn)]
             tr = traced_apply(DynnikovVector.from_flat(w.strands, flat), w)
             if not tr.signature.has_ties and tr.matrix not in found:
                 rows = {tuple(c // math.gcd(*r) for c in r) for r in tr.constraints}
@@ -359,7 +366,7 @@ def test_regions_n3_pointwise_oracle():
         two_pi = 2 * mpmath.pi
         for k in range(1500):
             theta = two_pi * k / 1500 + mpmath.mpf("1e-7")
-            v = DynnikovVector(3, (mpmath.cos(theta),), (mpmath.sin(theta),))
+            v = DynnikovVector(3, (_exact(mpmath.cos(theta)),), (_exact(mpmath.sin(theta)),))
             tr = traced_apply(v, w)
             if tr.signature.has_ties:
                 continue

@@ -6,10 +6,10 @@ import pytest
 
 from dynbraid.braid import parse_braid
 from dynbraid.errors import NoDominantRealRoot, NonConvergence
+from dynbraid.regions import compare_power
 from dynbraid.spectral import (
     CharPoly,
     char_poly,
-    compare_power,
     cyclotomic,
     dilatation,
     double_cover_lift,

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from dynbraid.braid import BraidWord, compose, inverse, parse_braid
 from dynbraid.coords import DynnikovVector, scale
-from dynbraid.errors import BraidFormatError
+from dynbraid.errors import BraidFormatError, CoordinateError
 from dynbraid.update import (
     apply_braid,
     apply_generator,
@@ -47,6 +48,14 @@ def test_generator_index_validation():
         apply_braid(v, parse_braid("1", 4))
     with pytest.raises(BraidFormatError):
         traced_apply(v, parse_braid("1", 4))
+
+
+@pytest.mark.parametrize("entry", [0.5, mpmath.mpf("0.5")])
+def test_traced_apply_rejects_inexact_input(entry):
+    # a tie is exact equality, so a rounded input has no well-defined trace
+    v = DynnikovVector(3, (entry,), (1,))
+    with pytest.raises(CoordinateError):
+        traced_apply(v, parse_braid("1", 3))
 
 
 def test_involution_small():

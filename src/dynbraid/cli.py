@@ -22,7 +22,13 @@ import mpmath
 
 from .braid import BraidWord, parse_braid, parse_braid_file
 from .coords import DynnikovVector, decode_rational
-from .errors import CoordinateError, DynbraidError, NonConvergence, VerificationFailed
+from .errors import (
+    CoordinateError,
+    DynbraidError,
+    NonConvergence,
+    TrackFormatError,
+    VerificationFailed,
+)
 from .regions import (
     DEFAULT_OPTIONS,
     IterationOptions,
@@ -79,7 +85,10 @@ def _parse_vector(text: str, strands: int) -> DynnikovVector:
     text = text.strip()
     if text.startswith("{"):
         return DynnikovVector.from_json(text)
-    return DynnikovVector.from_flat(strands, [decode_rational(x) for x in json.loads(text)])
+    entries = json.loads(text)
+    if not isinstance(entries, list):
+        raise CoordinateError(f"a vector is a JSON list or object, got {text!r}")
+    return DynnikovVector.from_flat(strands, [decode_rational(x) for x in entries])
 
 
 def _check_finite(v: DynnikovVector, what: str) -> None:
@@ -252,7 +261,14 @@ def cmd_regions3(args) -> int:
 def _load_rational_matrix(path: str):
     with open(path) as fh:
         doc = json.load(fh)
-    return [[decode_rational(x) for x in row] for row in doc["matrix"]]
+    rows = doc.get("matrix") if isinstance(doc, dict) else None
+    if not (
+        isinstance(rows, list)
+        and rows
+        and all(isinstance(row, list) and len(row) == len(rows) for row in rows)
+    ):
+        raise TrackFormatError(f'{path}: expected {{"matrix": [...]}} with square rows')
+    return [[decode_rational(x) for x in row] for row in rows]
 
 
 # positional arguments of each track subcommand
@@ -307,7 +323,10 @@ def cmd_track(args) -> int:
     elif sub == "coords":
         with open(args.files[0]) as fh:
             track = load_track(fh.read())
-        mu = Measure({k: decode_rational(x) for k, x in json.loads(args.measure).items()})
+        weights = json.loads(args.measure)
+        if not isinstance(weights, dict):
+            raise TrackFormatError("--measure is a JSON object from branch ids to weights")
+        mu = Measure({k: decode_rational(x) for k, x in weights.items()})
         v = change_of_coords(track, mu)
         _emit(args, json.loads(v.to_json()), [" ".join(str(x) for x in v.flat())])
     elif sub == "conjugacy":

@@ -25,10 +25,13 @@ def _is_exact(x) -> bool:
 
 def decode_rational(x):
     """A JSON entry as a scalar: a decimal or rational string ("3", "-1/2",
-    "0.25") becomes an int or a Fraction; a number is returned as it is."""
+    "0.25") becomes an int or a Fraction; a number is returned as it is,
+    and anything else raises CoordinateError."""
     if isinstance(x, str):
         f = Fraction(x)
         return f.numerator if f.denominator == 1 else f
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise CoordinateError(f"expected a number or a rational string, got {x!r}")
     return x
 
 
@@ -76,7 +79,16 @@ class DynnikovVector:
     @classmethod
     def from_json(cls, text: str) -> "DynnikovVector":
         doc = json.loads(text)
-        n = int(doc["n"])
+        if not (
+            isinstance(doc, dict)
+            and isinstance(doc.get("n"), int)
+            and isinstance(doc.get("a"), list)
+            and isinstance(doc.get("b"), list)
+        ):
+            raise CoordinateError(
+                f'a vector document is {{"n": <int>, "a": [...], "b": [...]}}, got {text!r}'
+            )
+        n = doc["n"]
         return cls(
             n,
             tuple(decode_rational(x) for x in doc["a"]),

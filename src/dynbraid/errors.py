@@ -17,7 +17,9 @@ class NonConvergence(DynbraidError):
     """Projective iteration failed to find an attracting direction.
 
     Raised for identity-like, finite order or reducible inputs, or when the
-    precision ladder is exhausted.
+    precision ladder is exhausted.  When the word is proved not to be
+    pseudo-Anosov, the message names a power p and a nonzero integer
+    Dynnikov vector c (an integral lamination) with w^p(c) = c.
     """
 
 

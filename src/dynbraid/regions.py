@@ -13,6 +13,14 @@ fraction bits, and acting on it is exact: no rounding inside the word, and a
 tie in a max is plain equality.  The only rounding is the renormalization
 between iterations and the one rounding of the centre before it is traced.
 
+Before the ladder, a word is checked for an exact certificate that it is not
+pseudo-Anosov: an integral lamination c (a nonzero integer vector) with
+w^p(c) = c, found on the integer orbit of (0..0, 1..1) and confirmed by exact
+application (fixed_lamination).  Only when the ladder fails, or the matrix
+it leads to has no dominant real root, are the vectors with entries in
+{-1, 0, 1} scanned for one that w fixes (_small_fixed_lamination).  Either
+certificate is reported as NonConvergence naming p and c.
+
 For n = 3 the whole circle of directions is decomposed exactly.  Every wall
 is a line c.x = 0 with an integer row c, so every arc endpoint is an integer
 ray, and a counterclockwise walk finds them one cone at a time: an integer
@@ -22,18 +30,20 @@ the walls of its cone.  Angles are computed only for output.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
+from typing import NoReturn
 
 import mpmath
 
 from .braid import BraidWord, inverse
 from .coords import DynnikovVector
-from .errors import DynbraidError, NonConvergence, VerificationFailed
+from .errors import DynbraidError, NoDominantRealRoot, NonConvergence, VerificationFailed
 from .spectral import SpectrumReport, dilatation, isospectral_up_to, mat_pow
 from .update import BranchSignature, apply_braid, traced_apply
 
@@ -98,23 +108,98 @@ def _seed_vector(strands: int, seed: int) -> DynnikovVector:
     return DynnikovVector(strands, a, b)
 
 
-def _reject_periodic(w: BraidWord) -> None:
-    """Raise NonConvergence when w^(n-1) or w^n fixes E = (0..0, 1..1).
+# the orbit check gives up (and the ladder decides) after this many steps, or
+# once an orbit entry needs more bits: a pA orbit grows exponentially and
+# passes the bound within a few dozen steps, a multitwist's grows linearly
+ORBIT_STEPS = 200
+ORBIT_BITS = 64
 
-    A periodic braid has its (n-1)-th or n-th power equal to a power of the
-    full twist, which acts trivially on coordinates; a power of a
-    pseudo-Anosov braid is pseudo-Anosov and fixes no integral lamination.
+
+def _fixes(w: BraidWord, p: int, c: tuple) -> bool:
+    """True when w^p(c) = c, by exact integer application."""
+    v = DynnikovVector.from_flat(w.strands, c)
+    for _ in range(p):
+        v = apply_braid(v, w)
+    return v.flat() == c
+
+
+def _not_pseudo_anosov(p: int, c: tuple) -> NonConvergence:
+    return NonConvergence(
+        f"power {p} of the word fixes the integral lamination {c}: "
+        "word is not pseudo-Anosov"
+    )
+
+
+def fixed_lamination(w: BraidWord):
+    """(p, c) with w^p(c) = c for a nonzero integer vector c, or None.
+
+    Dynnikov coordinates biject integral laminations with the nonzero integer
+    vectors, and a power of a pseudo-Anosov braid is pseudo-Anosov and fixes
+    none, so a result proves that w is not pseudo-Anosov.  The candidates come
+    from the exact orbit u_k = w^k(E) of E = (0..0, 1..1): a return u_k = u_j
+    gives c = u_j and p = k - j (every periodic word returns, at p = n - 1 or
+    n), and an arithmetic progression u_k - u_(k-p) = u_(k-p) - u_(k-2p) with
+    p <= 2n, as the orbits of conjugated multitwists make within a few steps,
+    gives that difference divided by its gcd.  Every candidate is confirmed
+    by applying w^p to it exactly.  None means only that the check gave up,
+    after ORBIT_STEPS steps or once an entry of the orbit passes ORBIT_BITS
+    bits.
     """
     m = w.strands - 2
-    e = DynnikovVector(w.strands, (0,) * m, (1,) * m)
-    v = e
-    for power in range(1, w.strands + 1):
-        v = apply_braid(v, w)
-        if power >= w.strands - 1 and v == e:
-            raise NonConvergence(
-                f"power {power} of the word fixes an integral lamination: "
-                "word is not pseudo-Anosov"
-            )
+    orbit = [(0,) * m + (1,) * m]
+    seen = {orbit[0]: 0}
+    for k in range(1, ORBIT_STEPS + 1):
+        u = apply_braid(DynnikovVector.from_flat(w.strands, orbit[-1]), w).flat()
+        if max(abs(x) for x in u).bit_length() > ORBIT_BITS:
+            return None
+        orbit.append(u)
+        j = seen.setdefault(u, k)
+        if j < k and _fixes(w, k - j, orbit[j]):
+            return k - j, orbit[j]
+        for p in range(1, min(2 * w.strands, k // 2) + 1):
+            mid, low = orbit[k - p], orbit[k - 2 * p]
+            step = [x - y for x, y in zip(u, mid)]
+            if any(step) and all(d == y - z for d, y, z in zip(step, mid, low)):
+                g = gcd(*step)
+                c = tuple(d // g for d in step)
+                if _fixes(w, p, c):
+                    return p, c
+    return None
+
+
+# vectors the failure-path scan tries at most: all of {-1, 0, 1}^8, the whole
+# space of 6 strands, in about 0.1 s; more strands see the sparsest vectors
+SCAN_VECTORS = 3**8
+
+
+def _small_vectors(dim: int):
+    """The nonzero vectors of {-1, 0, 1}^dim, fewest nonzero entries first."""
+    for size in range(1, dim + 1):
+        for support in itertools.combinations(range(dim), size):
+            for signs in itertools.product((1, -1), repeat=size):
+                c = [0] * dim
+                for i, sign in zip(support, signs):
+                    c[i] = sign
+                yield tuple(c)
+
+
+def _small_fixed_lamination(w: BraidWord):
+    """A nonzero c with entries in {-1, 0, 1} and w(c) = c, or None.
+
+    The failure-path scan: it tries up to SCAN_VECTORS such vectors, so it
+    runs only after the ladder has failed.  It catches reducible words with
+    a pseudo-Anosov piece, whose orbit grows too fast for fixed_lamination.
+    """
+    vectors = itertools.islice(_small_vectors(2 * w.strands - 4), SCAN_VECTORS)
+    return next((c for c in vectors if _fixes(w, 1, c)), None)
+
+
+def _certify_failure(w: BraidWord, exc: DynbraidError) -> NoReturn:
+    """Raise exc, or a certified NonConvergence when w fixes a small vector."""
+    c = _small_fixed_lamination(w)
+    if c is not None:
+        raise _not_pseudo_anosov(1, c) from exc
+    raise exc
 
 
 def find_unstable_direction(
@@ -129,13 +214,17 @@ def find_unstable_direction(
     costs under one unit in the last place, as a p-bit float iteration does.
     Converges when successive iterates are closer than 10^(-p/8) and the
     growth max|y| / 2^p has changed by at most 1e-13 (relative) three times
-    running; escalates the precision ladder on failure.  Words with a power
-    that fixes an integral lamination (every periodic word) are rejected
-    before the ladder.
+    running; escalates the precision ladder on failure.  A word that
+    fixed_lamination certifies as not pseudo-Anosov is rejected before the
+    ladder; when the ladder runs out, _small_fixed_lamination is tried before
+    the plain NonConvergence is raised.  Either certificate raises
+    NonConvergence naming the power and the fixed lamination.
     """
     if len(w) == 0:
         raise NonConvergence("the identity word has no attracting direction")
-    _reject_periodic(w)
+    fixed = fixed_lamination(w)
+    if fixed is not None:
+        raise _not_pseudo_anosov(*fixed)
     seed = _seed_vector(w.strands, opts.seed).flat()
     seed_norm = max(abs(x) for x in seed)
     total_iters = 0
@@ -176,9 +265,12 @@ def find_unstable_direction(
                 w.strands, [mpmath.ldexp(x, -prec) for x in u]
             )
         return UnstableDirection(point, lam, total_iters, prec)
-    raise NonConvergence(
-        f"no attracting direction after {total_iters} iterations "
-        f"across precisions {opts.ladder}"
+    _certify_failure(
+        w,
+        NonConvergence(
+            f"no attracting direction after {total_iters} iterations "
+            f"across precisions {opts.ladder}"
+        ),
     )
 
 
@@ -309,10 +401,13 @@ def dynnikov_matrices(
             raise VerificationFailed(
                 "no candidate's region closure contains the fixed direction"
             )
-        results = [
-            DynnikovMatrix(key, *found[key], dilatation([list(r) for r in key]))
-            for key in verified
-        ]
+        try:
+            results = [
+                DynnikovMatrix(key, *found[key], dilatation([list(r) for r in key]))
+                for key in verified
+            ]
+        except NoDominantRealRoot as exc:
+            _certify_failure(w, exc)
         radius = results[0].dilatation
         for m in results[1:]:
             if abs(m.dilatation - radius) > 1e-12 * radius:

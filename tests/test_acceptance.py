@@ -54,12 +54,18 @@ from conftest import (
     random_word,
 )
 
-from test_regions import D1_N5, D2_N5, GOLDEN_N3, S3_WORD, SIX_N3
+from test_regions import (
+    B4_WORD,
+    D1_N5,
+    D2_N5,
+    GAMMA_WORD,
+    GOLDEN_N3,
+    S3_WORD,
+    SIX_N3,
+    _penner_word,
+)
 from test_spectral import charpoly_cofactor, rand_matrix
 from test_traintrack import cycle_track_doc, merge_docs, uniform_measure
-
-B4_WORD = "1 -2 3 3 3 2 1 -2"
-GAMMA_WORD = "1 1 2 2 1 2 3 3 2 1 1 1 1 2 1 1 3 3 2 1"
 
 
 def test_criterion_1_three_letter_action():
@@ -146,6 +152,29 @@ def test_criterion_6_high_entropy_word_under_10s():
     lam = dilatation(D)
     assert abs(mpmath.log(lam) - 34.38) < 0.01
     assert time.monotonic() - start < 10.0
+
+
+# proven minimum dilatations, each the largest real root of a quartic:
+# x^4 - 2x^3 - 2x + 1 on 4 strands (Ko, Los and Song, "Entropies of braids",
+# 2002) and x^4 - x^3 - x^2 - x + 1 on 5 strands (Ham and Song, 2007)
+MINIMUM_DILATATION = {
+    4: ("1 2 -3", (1, -2, 0, -2, 1), "2.29663026289"),
+    5: ("1 2 3 4 1 2", (1, -1, -1, -1, 1), "1.72208380574"),
+}
+
+
+def test_minimum_dilatation_oracle():
+    rng = random.Random(31)
+    for n, (word, quartic, printed) in MINIMUM_DILATATION.items():
+        lam = dynnikov_matrices(parse_braid(word, n))[0].dilatation
+        assert mpmath.nstr(lam, 12) == printed
+        with mpmath.workdps(40):
+            root = mpmath.findroot(lambda x: mpmath.polyval(list(quartic), x), lam)
+            floor = root - mpmath.mpf(10) ** -25  # the bisection width
+            assert abs(lam - root) < mpmath.mpf(10) ** -25
+            for _ in range(20):
+                w = parse_braid(_penner_word(rng, n, rng.randint(n - 1, 12)), n)
+                assert dynnikov_matrices(w)[0].dilatation >= floor, w.render()
 
 
 def test_criterion_7_action_property_suite():

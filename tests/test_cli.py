@@ -1,10 +1,15 @@
+import ast
 import json
 import os
+import re
 
 import mpmath
 import pytest
 
+from dynbraid.braid import parse_braid
 from dynbraid.cli import main
+from dynbraid.coords import DynnikovVector
+from dynbraid.update import apply_braid
 
 from conftest import FIXTURES
 
@@ -251,7 +256,7 @@ def test_track_bad_file_exits_2(capsys):
     assert code == 2
 
 
-def test_matrix_periodic_word_fails_fast(capsys, monkeypatch):
+def _count_applies(monkeypatch):
     import dynbraid.regions as regions
 
     calls = []
@@ -262,11 +267,52 @@ def test_matrix_periodic_word_fails_fast(capsys, monkeypatch):
         return plain(v, w)
 
     monkeypatch.setattr(regions, "apply_braid", counting)
+    return calls
+
+
+def test_matrix_periodic_word_fails_fast(capsys, monkeypatch):
+    calls = _count_applies(monkeypatch)
     code, out, err = run(capsys, "matrix", "-n", "5", "-w", "1 2 3 4")
     assert code == 3
     assert out == ""
-    assert "fixes an integral lamination" in err
+    assert err == (
+        "error: power 5 of the word fixes the integral lamination (0, 0, 0, 1, 1, 1): "
+        "word is not pseudo-Anosov\n"
+    )
     assert len(calls) < 20
+
+
+def test_multitwist_fails_fast(capsys, monkeypatch):
+    calls = _count_applies(monkeypatch)
+    code, out, err = run(capsys, "dilatation", "-n", "4", "-w", "3 -3 1 -3 -3 3 -3")
+    assert code == 3
+    assert out == ""
+    assert "fixes the integral lamination" in err
+    assert len(calls) < 50
+
+
+@pytest.mark.parametrize(
+    "n, word",
+    [
+        (5, "-4 2 -4 -4 -4 -1"),  # converged, then "a larger-modulus eigenvalue exists"
+        (6, "2 4 -5 -1"),  # "dominant real root is not simple"
+        (6, "4 5 -4 -5 -2 1"),
+        (6, "-2 -5 4 -5 -2 -1"),  # "dominant modulus attained off the real axis"
+        (6, "5 -4 -2 -2 -4"),
+    ],
+)
+def test_reducible_word_with_pa_piece_names_its_curve(capsys, n, word):
+    code, out, err = run(capsys, "dilatation", "-n", str(n), "-w", word)
+    assert code == 3
+    assert out == ""
+    found = re.fullmatch(
+        r"error: power 1 of the word fixes the integral lamination (\(.*\)): "
+        r"word is not pseudo-Anosov\n",
+        err,
+    )
+    assert found, err
+    c = DynnikovVector.from_flat(n, ast.literal_eval(found.group(1)))
+    assert apply_braid(c, parse_braid(word, n)) == c
 
 
 def test_dilatation_digits_60_are_exact(capsys):
@@ -366,7 +412,7 @@ def test_batch_answers_every_word(tmp_path, capsys, monkeypatch, command, jobs):
     assert code == 3
     assert [json.loads(line)["word"] for line in out.splitlines()] == ["1 -2", "1 -2 1 -2"]
     assert err.splitlines() == [
-        "error: n=4 1 1 1: power 3 of the word fixes an integral lamination: "
+        "error: n=4 1 1 1: power 1 of the word fixes the integral lamination (0, 0, 1, 1): "
         "word is not pseudo-Anosov"
     ]
 
@@ -393,3 +439,39 @@ def test_non_finite_tol_exits_2(capsys, tol):
     assert code == 2
     assert out == ""
     assert err.startswith("error: probe radius must be finite")
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["act", "-n", "3", "-w", "1", "-v", "5"], "a vector is a JSON list"),
+        (["act", "-n", "3", "-w", "1", "-v", '{"n": 3}'], "a vector document is"),
+        (["act", "-n", "3", "-w", "1", "-v", "[[1], 2]"], "expected a number"),
+        (
+            ["track", "coords", str(FIXTURES / "track_b4_complete.json"), "--measure", "[1]"],
+            "--measure is a JSON object",
+        ),
+    ],
+)
+def test_malformed_json_exits_2(capsys, argv, reason):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {reason}")
+
+
+@pytest.mark.parametrize("doc", [{"D": [[1]]}, {"matrix": [[1, 2], [3]]}, [[1]]])
+def test_conjugacy_matrix_file_shape_exits_2(tmp_path, capsys, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(
+        capsys,
+        "track",
+        "conjugacy",
+        str(bad),
+        str(FIXTURES / "mat_gamma_L1.json"),
+        str(FIXTURES / "tm_gamma_Tp.json"),
+    )
+    assert code == 2
+    assert out == ""
+    assert "square rows" in err

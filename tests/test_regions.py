@@ -12,12 +12,12 @@ import dynbraid.regions as regions
 from dynbraid.regions import (
     DEFAULT_OPTIONS,
     IterationOptions,
-    _reject_periodic,
     _in_interior,
     _probe_directions,
     dynnikov_matrices,
     enumerate_regions_n3,
     find_unstable_direction,
+    fixed_lamination,
     stable_direction,
 )
 from dynbraid.spectral import dilatation
@@ -61,6 +61,22 @@ S3_WORD = " ".join(
     + ["-1"] * 8
     + ["-3", "-1", "-1", "2", "2", "-3", "-1", "2", "3", "1", "-2", "-3"]
 )
+
+B4_WORD = "1 -2 3 3 3 2 1 -2"
+GAMMA_WORD = "1 1 2 2 1 2 3 3 2 1 1 1 1 2 1 1 3 3 2 1"
+
+# the pseudo-Anosov words of the acceptance criteria and the CLI examples
+ACCEPTANCE_WORDS = (
+    ("1 -2", 3),
+    ("1 2 3 -4", 5),
+    (B4_WORD, 4),
+    (GAMMA_WORD, 4),
+    (S3_WORD, 4),
+    ("-2 5 3 -4 5 1", 6),
+    ("5 3 -4 -4 3 1 -2", 6),
+)
+
+PERIODIC_WORDS = (("1 2 3 4", 5), ("1 2", 3), ("1 2 3 1", 4), ("-2 1 2 3 2", 4))
 
 FAST_OPTS = IterationOptions(ladder=(53, 128), max_iters=400)
 
@@ -261,14 +277,73 @@ def test_fast_path_needs_margin_to_every_wall():
 
 
 def test_penner_words_never_fail_fast():
-    for w in _penner_words(5, 50):
-        _reject_periodic(w)  # raises NonConvergence on a periodic word
+    # 50 words on each of 4, 5 and 6 strands
+    words = _penner_words(5, 150)
+    words += [parse_braid(text, n) for text, n in ACCEPTANCE_WORDS]
+    for w in words:
+        assert fixed_lamination(w) is None, w.render()
+
+
+def _fixes(w, p, c):
+    v = DynnikovVector.from_flat(w.strands, c)
+    for _ in range(p):
+        v = apply_braid(v, w)
+    return v.flat() == tuple(c)
+
+
+def _assert_certified(w):
+    found = fixed_lamination(w)
+    assert found is not None, w.render()
+    p, c = found
+    assert p >= 1 and any(c) and all(isinstance(x, int) for x in c)
+    assert _fixes(w, p, c), w.render()
+    return p, c
 
 
 def test_periodic_words_fail_fast():
-    for text, n in (("1 2 3 4", 5), ("1 2", 3), ("1 2 3 1", 4), ("-2 1 2 3 2", 4)):
-        with pytest.raises(NonConvergence, match="integral lamination"):
-            _reject_periodic(parse_braid(text, n))
+    for text, n in PERIODIC_WORDS:
+        w = parse_braid(text, n)
+        p, _ = _assert_certified(w)
+        assert p in (n - 1, n)
+        with pytest.raises(NonConvergence, match=f"power {p} of the word fixes the integral"):
+            find_unstable_direction(w)
+
+
+def _multitwist(rng, n):
+    """Powers of two commuting generators, conjugated (a reducible word)."""
+    i = rng.randint(1, n - 3)
+    j = rng.randint(i + 2, n - 1)
+    total = rng.randint(2, 6)
+    a = rng.randint(1, total - 1)
+    core = [i * rng.choice((1, -1))] * a + [j * rng.choice((1, -1))] * (total - a)
+    g = [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(0, 8))]
+    return parse_braid(" ".join(map(str, g + core + [-x for x in reversed(g)])), n)
+
+
+def test_multitwists_are_certified():
+    rng = random.Random(17)
+    for k in range(60):
+        _assert_certified(_multitwist(rng, 4 + k % 3))
+
+
+def test_certificate_is_confirmed_before_it_is_returned(monkeypatch):
+    # with every confirmation refused, no word is certified: the orbit
+    # patterns only propose candidates
+    monkeypatch.setattr(regions, "_fixes", lambda w, p, c: False)
+    for text, n in PERIODIC_WORDS + (("3 -3 1 -3 -3 3 -3", 4), ("1 1 1", 4)):
+        assert fixed_lamination(parse_braid(text, n)) is None
+
+
+def test_failure_scan_is_bounded(monkeypatch):
+    # a pA word on 9 strands: {-1, 0, 1}^14 has 4.8 million vectors
+    w = parse_braid("1 -2 3 -4 5 -6 7 -8", 9)
+    with pytest.raises(NonConvergence, match="no attracting direction"):
+        find_unstable_direction(w, IterationOptions(max_iters=1))
+    calls = []
+    plain = regions._fixes
+    monkeypatch.setattr(regions, "_fixes", lambda w, p, c: calls.append(c) or plain(w, p, c))
+    assert regions._small_fixed_lamination(w) is None
+    assert len(set(calls)) == len(calls) == regions.SCAN_VECTORS
 
 
 def test_precision_floor():

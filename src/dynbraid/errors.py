@@ -28,7 +28,7 @@ class VerificationFailed(DynbraidError):
 
 
 class NoDominantRealRoot(DynbraidError):
-    """The characteristic polynomial has no dominant real root > 1."""
+    """The characteristic polynomial has no simple, strictly dominant real root > 1."""
 
 
 class NotIrreducible(DynbraidError):

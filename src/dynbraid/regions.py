@@ -85,7 +85,7 @@ class DynnikovMatrix:
     matrix: tuple  # integer rows
     region: tuple  # integer rows c, region closure is {x : c.x >= 0}
     signature: BranchSignature
-    dilatation: object  # exact-bisected spectral radius, mpmath float > 1
+    dilatation: object  # certified spectral radius, mpmath float > 1
 
     def matrix_list(self) -> list:
         return [list(r) for r in self.matrix]

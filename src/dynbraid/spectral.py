@@ -2,12 +2,12 @@
 
 Characteristic polynomials are computed division-free (Berkowitz), so all
 arithmetic stays in Python integers no matter how large the entries get.
-Dilatations are located on the exact integer factor left after stripping
-zeros and roots of unity: a float estimate brackets the dominant real root,
-then rational bisection refines it to the requested precision.  Stripping
-loses nothing, since every stripped root has modulus at most 1 and so can
-neither be the dominant root nor compete with it, while the repeated trivial
-factors it removes (such as (x-1)^4) are what stalls the float root finder.
+Dilatations are certified on the exact integer factor left after stripping
+zeros and roots of unity, which loses nothing: every stripped root has
+modulus at most 1 and so can neither be the dominant root nor compete with
+it.  A float Newton step only seeds a dyadic bracket; the signs that bisect
+it and the Schur-Cohn root counts that prove its root real, simple and
+strictly dominant are all computed on integers, so no float margin decides.
 "Isospectral up to ..." comparisons are decided on exact integer polynomials
 after stripping the designated trivial factors, never on floating spectra.
 """
@@ -18,11 +18,11 @@ import json
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, ldexp
 
 import mpmath
 
-from .errors import CoordinateError, NoDominantRealRoot, NonConvergence
+from .errors import CoordinateError, NoDominantRealRoot
 
 Mode = str  # "exact" | "roots_of_unity_and_zeros" | "eigenvalues_one"
 MODES = ("exact", "roots_of_unity_and_zeros", "eigenvalues_one")
@@ -80,6 +80,7 @@ def cyclotomic(d: int):
     return p
 
 
+@cache
 def euler_phi(d: int) -> int:
     count = 0
     for k in range(1, d + 1):
@@ -143,75 +144,215 @@ def char_poly(M) -> CharPoly:
 
 
 # ---------------------------------------------------------------------------
-# dilatation
+# dilatation: located, certified and refined on integers
 
 
-def _all_roots(p: CharPoly):
-    # mpmath wants highest degree first
-    with mpmath.workdps(60):
-        try:
-            return mpmath.polyroots(
-                [mpmath.mpf(c) for c in reversed(p.coeffs)], maxsteps=200, extraprec=200
-            )
-        except mpmath.libmp.NoConvergence as exc:
-            raise NonConvergence(
-                f"root finder did not converge on a degree-{p.degree} polynomial"
-            ) from exc
+def _primitive(p):
+    """p divided by the gcd of its coefficients, with leading coefficient > 0."""
+    g = gcd(*p)
+    if p[-1] < 0:
+        g = -g
+    return [c // g for c in p]
+
+
+def _poly_gcd(a, b):
+    """Primitive gcd of nonzero integer polynomials, by pseudo-remainders.
+
+    Scaling a by lead(b)^(deg a - deg b + 1) keeps the division integral.
+    """
+    while len(b) > 1:
+        scale = b[-1] ** (len(a) - len(b) + 1)
+        _, r = poly_divmod([x * scale for x in a], b)
+        if not any(r):
+            return _primitive(b)
+        a, b = b, _primitive(list(r))
+    return [1]
+
+
+def _sign_at(f, a, k):
+    """Sign of f at a / 2^k: Horner on 2^(k*deg) * f(a / 2^k), in integers."""
+    acc = 0
+    for i, c in enumerate(reversed(f)):
+        acc = acc * a + (c << (k * i))
+    return (acc > 0) - (acc < 0)
+
+
+def _zeros_in_unit_disc(p):
+    """Zeros of the real polynomial p in |z| < 1, with multiplicity.
+
+    The Schur-Cohn test (Marden, *Geometry of Polynomials*, sec. 43): the
+    transform q = p(0) p - lead(p) p* has degree below p's, and by Rouche on
+    the unit circle p has as many zeros inside as q when
+    delta = p(0)^2 - lead(p)^2 = q(0) > 0, and deg p minus as many when
+    delta < 0.  Returns None when some delta is 0: p may then have zeros on
+    the circle or symmetric about it, and the count is not decided.
+
+    Dividing a transform by a nonzero integer leaves the count alone.  From
+    the third transform on, each is divisible by the constant term of the
+    polynomial two steps back, as in a fraction-free remainder sequence;
+    dividing it out keeps the coefficients growing linearly.  Where that
+    division is not exact the content is divided out instead.
+    """
+    count, sign, step, back = 0, 1, 0, None
+    p = _primitive(p)
+    while len(p) > 1:
+        n, a0, an = len(p) - 1, p[0], p[-1]
+        delta = a0 * a0 - an * an
+        if delta == 0:
+            return None
+        if delta < 0:
+            count, sign = count + sign * n, -sign
+        q = [a0 * p[i] - an * p[n - i] for i in range(n)]
+        while q[-1] == 0:  # q[0] = delta is not
+            q.pop()
+        if step >= 2:  # back, a constant term after a transform, is not 0
+            q = _primitive(q) if any(c % back for c in q) else [c // back for c in q]
+        p, back, step = q, a0, step + 1
+    return count
+
+
+def _zeros_within(f, a, k):
+    """Zeros of f in |x| < a / 2^k, as those of 2^(k*deg) f(a z / 2^k) in |z| < 1."""
+    d, power, p = len(f) - 1, 1, []
+    for j, c in enumerate(f):
+        p.append((c * power) << (k * (d - j)))
+        power *= a
+    return _zeros_in_unit_disc(p)
+
+
+def _newton_from_above(f):
+    """Estimate c / 2^k (k >= 0, about 40 bits) of the largest real zero of f.
+
+    2^e bounds every zero (Fujiwara), so f(2^e y) / (lead * 2^(e*deg)) has
+    coefficients of modulus at most 1 and floats cannot overflow.  When a
+    real zero strictly dominates, every zero has smaller real part, so by
+    Gauss-Lucas every derivative is positive beyond it and Newton in floats
+    from y = 1 decreases monotonically to it.  None when the steps run out
+    or leave that pattern, or the estimate is not above 1.
+    """
+    d, lead = len(f) - 1, f[-1]
+    e = 1
+    for i in range(1, d + 1):
+        if f[d - i]:
+            bits = f[d - i].bit_length() - lead.bit_length() + 1
+            e = max(e, -(-bits // i) + 1)  # |f[d-i] / lead| <= 2^(i(e-1))
+    g = [c / (lead << (e * (d - j))) for j, c in enumerate(f)]
+    y = 1.0
+    for _ in range(64 + 8 * d * d.bit_length()):
+        v = dv = 0.0
+        for c in reversed(g):
+            dv = dv * y + v
+            v = v * y + c
+        if not v > 0:  # at the zero up to rounding
+            break
+        if not dv > 0:
+            return None
+        step = v / dv
+        y -= step
+        if step <= y * 2.0**-50:
+            break
+    else:
+        return None
+    if not y > 0:
+        return None
+    c, k = round(ldexp(y, 40)), 40 - e
+    if k < 0:
+        c, k = c << -k, 0
+    return (c, k) if c > 1 << k else None
+
+
+def _failure(f, g, a, b, k):
+    """Why [a/2^k, b/2^k] fails to certify a dominant zero of f; None if not.
+
+    f is squarefree and has a real zero strictly between the ends.  It is
+    simple and strictly dominant exactly when f has deg - 1 zeros in
+    |x| < a/2^k and deg in |x| < b/2^k: the one zero left in the annulus is
+    then the real one.  It is a simple zero of f * g (g being f's repeated
+    part, whose zeros are f's) when g has all its zeros in |x| < a/2^k.  A
+    larger modulus or a repeated zero raises at once; a second zero in the
+    annulus or an undecided count gives the reason.
+    """
+    d = len(f) - 1
+    above = _zeros_within(f, b, k)
+    if above is not None and above < d:
+        raise NoDominantRealRoot("a larger-modulus eigenvalue exists")
+    below = _zeros_within(f, a, k)
+    if above is None or below is None:
+        return "failed to certify the dominant root"
+    if below < d - 1:
+        return "another eigenvalue has the modulus of the dominant real root"
+    repeated = _zeros_within(g, a, k)
+    if repeated is None:
+        return "failed to certify the dominant root"
+    if repeated < len(g) - 1:
+        raise NoDominantRealRoot("dominant real root is not simple")
+    return None
 
 
 def dilatation(M, tol=Fraction(1, 10**30)):
-    """The dominant real eigenvalue > 1, refined on the exact polynomial.
+    """The dominant real eigenvalue > 1 of M, certified and refined on integers.
 
-    Roots are found and bisected on the char poly with its zeros and roots of
-    unity stripped.  That is exact: the stripped roots have modulus at most
-    1, so the dominance, off-axis and simplicity checks decide the same on
-    the factor as on the full polynomial, and on (1, oo) the two have the
-    same sign, so bisection brackets the same root.  The root is bisected to
-    relative width tol and returned with enough digits to show it (at least
-    45).
+    Everything runs on the char poly with its zeros and roots of unity
+    stripped.  That is exact: the stripped roots have modulus at most 1, so
+    they can neither be the dominant root nor compete with it.  The stripped
+    factor is split into its squarefree part f and repeated part g =
+    gcd(f, f').  Newton in floats estimates the largest real zero of f; a
+    dyadic bracket around it is widened until f changes sign at its ends
+    and bisected to relative width tol, with every sign taken on integers.
+    The Schur-Cohn root count then proves that the bracket, coarse or at
+    tol, holds exactly one zero of the modulus found, real and simple, and
+    that all others are smaller in modulus.  The midpoint is returned with
+    enough digits to show it (at least 45); an exact dyadic zero is
+    returned exactly.
 
-    Raises NoDominantRealRoot when no real root > 1 strictly dominates the
-    modulus of every other root (relative margin 1e-9), and NonConvergence
-    when the float root finder fails.
+    Raises NoDominantRealRoot when no real root > 1 is proved simple and
+    strictly larger in modulus than every other root.
     """
+    tol = Fraction(tol)
+    if tol <= 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     p, _ = strip_trivial_factors(char_poly(M), "roots_of_unity_and_zeros")
-    roots = _all_roots(p)  # none when p is constant (identity, rotations)
-    best = None
-    for r in roots:
-        if abs(mpmath.im(r)) < 1e-20 * max(1, abs(r)) and mpmath.re(r) > 1:
-            if best is None or mpmath.re(r) > best:
-                best = mpmath.re(r)
-    if best is None:
+    if p.degree < 1:  # identity, rotations
         raise NoDominantRealRoot("no real eigenvalue exceeding 1")
-    for r in roots:
-        if abs(abs(r) - best) < 1e-12 * best and abs(mpmath.re(r) - best) > 1e-9 * best:
-            raise NoDominantRealRoot("dominant modulus attained off the real axis")
-        if abs(r) > best * (1 + 1e-9):
-            raise NoDominantRealRoot("a larger-modulus eigenvalue exists")
-    # count roots equal to best (multiplicity) -- refuse non-simple dominance
-    near = [r for r in roots if abs(r - best) < 1e-9 * best]
-    if len(near) != 1:
-        raise NoDominantRealRoot("dominant real root is not simple")
-    # exact bisection around the estimate
-    est = Fraction(mpmath.nstr(best, 40))
-    width = Fraction(1, 10**20) * max(1, est)
-    lo, hi = est - width, est + width
-    while p(lo) * p(hi) > 0:
-        width *= 2
-        lo, hi = est - width, est + width
-        if width > max(1, est):
+    den = lcm(*(Fraction(c).denominator for c in p.coeffs))  # M may be rational
+    f = [int(c * den) for c in p.coeffs]
+    g = _poly_gcd(f, [j * c for j, c in enumerate(f)][1:])
+    if len(g) > 1:
+        f = list(poly_divides(f, g))
+    estimate = _newton_from_above(f)
+    if estimate is None:
+        raise NoDominantRealRoot("no real eigenvalue exceeding 1 dominates")
+    c, k = estimate
+    w = 1  # widen the bracket [a/2^k, b/2^k] until f changes sign
+    while True:
+        a, b = c - w, c + w
+        if a <= 1 << k:
             raise NoDominantRealRoot("failed to bracket the dominant root")
-    if p(lo) > 0:
-        lo, hi = hi, lo  # keep p(lo) < 0 <= p(hi)
-    while abs(hi - lo) > tol * max(1, est):
-        mid = (lo + hi) / 2
-        if p(mid) < 0:
-            lo = mid
+        sign_a = _sign_at(f, a, k)
+        if sign_a * _sign_at(f, b, k) < 0:
+            break
+        w *= 2
+    m = max(0, min(k, a.bit_length() - 8))  # a coarse bracket, a >> m of 8 bits
+    brackets = [(a >> m, (b >> m) + 1, k - m), (a, b, k)]
+    while (b - a) * tol.denominator > tol.numerator * a:
+        a, b, k = 2 * a, 2 * b, k + 1
+        mid = (a + b) // 2
+        s = _sign_at(f, mid, k)
+        if s == 0:  # an exact zero: it stays the midpoint from now on
+            a, b = mid - 1, mid + 1
+        elif s == sign_a:
+            a = mid
         else:
-            hi = mid
-    mid = (lo + hi) / 2
-    with mpmath.workdps(max(45, len(str(Fraction(tol).denominator)) + 5)):
-        return mpmath.mpf(mid.numerator) / mid.denominator
+            b = mid
+    brackets.append((a, b, k))
+    for bracket in brackets:  # each holds the real zero; coarse ones are cheap
+        reason = _failure(f, g, *bracket)
+        if reason is None:
+            break
+    else:
+        raise NoDominantRealRoot(reason)
+    with mpmath.workdps(max(45, len(str(tol.denominator)) + 5)):
+        return mpmath.ldexp(mpmath.mpf(a + b), -(k + 1))
 
 
 # ---------------------------------------------------------------------------

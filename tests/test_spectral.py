@@ -5,7 +5,7 @@ import mpmath
 import pytest
 
 from dynbraid.braid import parse_braid
-from dynbraid.errors import NoDominantRealRoot, NonConvergence
+from dynbraid.errors import NoDominantRealRoot
 from dynbraid.regions import compare_power
 from dynbraid.spectral import (
     CharPoly,
@@ -172,15 +172,101 @@ def test_dilatation_rejects_identity_and_rotation():
 def test_dilatation_rejects_complex_dominance():
     # eigenvalues 2 and 1 +- 2i (modulus sqrt 5 > 2)
     M = [[2, 0, 0], [0, 1, -2], [0, 2, 1]]
-    with pytest.raises(NoDominantRealRoot):
+    with pytest.raises(NoDominantRealRoot, match="larger-modulus"):
         dilatation(M)
 
 
 def test_dilatation_rejects_negative_dominance():
     # eigenvalues -3 and 2: dominant modulus is not a real root > 1
     M = [[-3, 0], [0, 2]]
-    with pytest.raises(NoDominantRealRoot):
+    with pytest.raises(NoDominantRealRoot, match="larger-modulus"):
         dilatation(M)
+
+
+def test_dilatation_rejects_complex_pair_of_equal_modulus():
+    # (x - 2)(x^2 + 4): 2 and +-2i all have modulus exactly 2
+    M = [[2, 0, 0], [0, 0, -4], [0, 1, 0]]
+    with pytest.raises(NoDominantRealRoot, match="has the modulus of the dominant"):
+        dilatation(M)
+
+
+def test_dilatation_rejects_opposite_roots():
+    # companion of x^2 - 9: roots 3 and -3
+    with pytest.raises(NoDominantRealRoot, match="has the modulus of the dominant"):
+        dilatation([[0, 9], [1, 0]])
+
+
+def test_dilatation_rejects_double_root():
+    # (x - 3)^2
+    with pytest.raises(NoDominantRealRoot, match="not simple"):
+        dilatation([[3, 1], [0, 3]])
+
+
+def test_dilatation_rejects_complex_roots_only():
+    # companion of x^2 + x + 3: roots (-1 +- i sqrt 11) / 2
+    with pytest.raises(NoDominantRealRoot):
+        dilatation([[0, -3], [1, -1]])
+
+
+def test_dilatation_returns_a_dyadic_root_exactly():
+    # the bisection lands on the zero 2 and keeps it as the midpoint
+    assert dilatation([[2]]) == 2
+    assert dilatation([[1, 1], [1, 1]]) == 2
+
+
+def test_dilatation_rejects_non_positive_tol():
+    # the bisection would never reach a width of 0
+    for tol in (0, -1):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            dilatation([[2, 1], [1, 1]], tol=tol)
+
+
+def test_dilatation_certifies_high_degree():
+    # twenty real roots 2..21: the root counts run nineteen transforms deep
+    D = [[(i + 2) * (i == j) for j in range(20)] for i in range(20)]
+    assert dilatation(D) == 21
+
+
+def _reference_dilatation(M):
+    """("accept", λ), ("reject", None) or None (undecided), from polyroots at 100 digits.
+
+    Undecided when the largest real root and the largest modulus among the
+    other roots are within a relative 1e-6 of each other.
+    """
+    with mpmath.workdps(100):
+        coeffs = [mpmath.mpf(c) for c in reversed(char_poly(M).coeffs)]
+        try:
+            roots = mpmath.polyroots(coeffs, maxsteps=100, extraprec=100)
+        except mpmath.libmp.NoConvergence:
+            return None
+        real = [r.real for r in roots if abs(r.imag) <= mpmath.mpf("1e-50") * max(1, abs(r))]
+        if not real or max(real) <= 1:
+            return "reject", None
+        lam = max(real)
+        others = sorted(roots, key=lambda r: abs(r - lam))[1:]
+        mu = max((abs(r) for r in others), default=0)
+        if abs(lam - mu) <= mpmath.mpf("1e-6") * lam:
+            return None
+        return ("accept", lam) if lam > mu else ("reject", None)
+
+
+def test_dilatation_agrees_with_polyroots_oracle():
+    rng = random.Random(20140)
+    decided = {"accept": 0, "reject": 0}
+    for _ in range(300):
+        M = rand_matrix(rng, rng.randint(2, 8), span=3)
+        ref = _reference_dilatation(M)
+        if ref is None:
+            continue
+        verdict, lam = ref
+        decided[verdict] += 1
+        if verdict == "accept":
+            with mpmath.workdps(50):
+                assert abs(dilatation(M) - lam) < mpmath.mpf("1e-25") * lam, M
+        else:
+            with pytest.raises(NoDominantRealRoot):
+                dilatation(M)
+    assert decided["accept"] >= 50 and decided["reject"] >= 150, decided
 
 
 def block_sum(A, B):
@@ -193,8 +279,8 @@ def identity(k):
 
 
 def test_dilatation_ignores_repeated_trivial_factors():
-    # companion matrix of x^4 - 9x^3 + 21x^2 - 9x + 1 plus I_4: the float root
-    # finder fails to converge on the full char poly with its (x-1)^4
+    # companion matrix of x^4 - 9x^3 + 21x^2 - 9x + 1 plus I_4: its char poly
+    # carries (x-1)^4 beside the factor of λ
     C = [[0, 0, 0, -1], [1, 0, 0, 9], [0, 1, 0, -21], [0, 0, 1, 9]]
     M = block_sum(C, identity(4))
     lam = dilatation(M)
@@ -210,13 +296,14 @@ def test_dilatation_rejects_repeated_dominant_root_beside_trivial_factors():
         dilatation(block_sum(A, block_sum(A, identity(2))))
 
 
-def test_dilatation_wraps_root_finder_failure(monkeypatch):
+def test_dilatation_never_calls_polyroots(monkeypatch):
     def stall(*args, **kwargs):
         raise mpmath.libmp.NoConvergence("Didn't converge in maxsteps=200 steps.")
 
     monkeypatch.setattr(mpmath, "polyroots", stall)
-    with pytest.raises(NonConvergence):
-        dilatation([[2, 1], [1, 1]])
+    lam = dilatation([[2, 1], [1, 1]])
+    with mpmath.workdps(45):
+        assert abs(lam - (3 + mpmath.sqrt(5)) / 2) < mpmath.mpf("1e-25")
 
 
 # ---------------------------------------------------------------------------

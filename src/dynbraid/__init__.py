@@ -1,22 +1,18 @@
 """Dynnikov coordinates, Dynnikov matrices and train-track spectra of braids."""
 
 from .braid import BraidWord, compose, identity_word, inverse, parse_braid, parse_braid_file
-from .coords import DynnikovVector, TriangleCoords, from_triangle, normalize, projective_distance
+from .coords import DynnikovVector
 from .update import apply_braid, apply_generator, traced_apply
 
 __all__ = [
     "BraidWord",
     "DynnikovVector",
-    "TriangleCoords",
     "apply_braid",
     "apply_generator",
     "compose",
-    "from_triangle",
     "identity_word",
     "inverse",
-    "normalize",
     "parse_braid",
     "parse_braid_file",
-    "projective_distance",
     "traced_apply",
 ]

@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 usage or input format error, 3 non-convergence,
-4 verification failure.  ``matrix`` and ``dilatation`` answer every word of a
-braid file: a word that fails is reported on stderr as
+4 verification failure.  When the reader of stdout goes away, as in
+``dynbraid matrix ... | head -1``, the exit code is 141 (128 + SIGPIPE) and
+nothing is printed on stderr.  ``matrix`` and ``dilatation`` answer every
+word of a braid file: a word that fails is reported on stderr as
 ``error: n=<strands> <word>: <reason>``, the other words are still answered,
 and the exit code is the largest among the words.
 """
@@ -407,7 +409,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # as the signal module documents for SIGPIPE: send what is still
+        # buffered to devnull, so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code(exc)

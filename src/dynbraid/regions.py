@@ -31,7 +31,6 @@ the walls of its cone.  Angles are computed only for output.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import random
 from dataclasses import dataclass, replace
@@ -41,10 +40,10 @@ from typing import NoReturn
 
 import mpmath
 
-from .braid import BraidWord, inverse
+from .braid import BraidWord
 from .coords import DynnikovVector
 from .errors import DynbraidError, NoDominantRealRoot, NonConvergence, VerificationFailed
-from .spectral import SpectrumReport, dilatation, isospectral_up_to, mat_pow
+from .spectral import dilatation
 from .update import BranchSignature, apply_braid, traced_apply
 
 
@@ -89,14 +88,6 @@ class DynnikovMatrix:
 
     def matrix_list(self) -> list:
         return [list(r) for r in self.matrix]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "matrix": [[str(x) for x in row] for row in self.matrix],
-                "region": [[str(x) for x in row] for row in self.region],
-            }
-        )
 
 
 def _seed_vector(strands: int, seed: int) -> DynnikovVector:
@@ -274,13 +265,6 @@ def find_unstable_direction(
     )
 
 
-def stable_direction(
-    w: BraidWord, opts: IterationOptions = DEFAULT_OPTIONS
-) -> UnstableDirection:
-    """The attracting direction of the inverse word (contracting for w)."""
-    return find_unstable_direction(inverse(w), opts)
-
-
 def _normalize_row(row):
     g = 0
     for x in row:
@@ -413,12 +397,6 @@ def dynnikov_matrices(
             if abs(m.dilatation - radius) > 1e-12 * radius:
                 raise VerificationFailed("candidate matrices disagree on spectral radius")
     return results
-
-
-def compare_power(w: BraidWord, m: int, T) -> SpectrumReport:
-    """Compare a Dynnikov matrix of w^m with T^m up to eigenvalues 1."""
-    D = dynnikov_matrices(w ** m)[0].matrix
-    return isospectral_up_to([list(r) for r in D], mat_pow(T, m), "eigenvalues_one")
 
 
 # ---------------------------------------------------------------------------

@@ -32,15 +32,6 @@ MODES = ("exact", "roots_of_unity_and_zeros", "eigenvalues_one")
 # polynomials: integer coefficient tuples, lowest degree first
 
 
-def poly_mul(p, q):
-    out = [0] * (len(p) + len(q) - 1)
-    for i, x in enumerate(p):
-        if x:
-            for j, y in enumerate(q):
-                out[i + j] += x * y
-    return tuple(out)
-
-
 def poly_divmod(p, q):
     """Polynomial division over the rationals; exact when entries are ints."""
     p = list(p)
@@ -104,14 +95,6 @@ class CharPoly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def to_json(self) -> str:
-        return json.dumps({"coeffs": [str(c) for c in self.coeffs]})
-
-    @classmethod
-    def from_json(cls, text: str) -> "CharPoly":
-        doc = json.loads(text)
-        return cls(tuple(int(c) for c in doc["coeffs"]))
 
 
 # ---------------------------------------------------------------------------
@@ -437,45 +420,10 @@ def isospectral_up_to(M1, M2, mode: Mode) -> SpectrumReport:
 
 
 # ---------------------------------------------------------------------------
-# double cover and matrix powers
-
-
-def double_cover_lift(A, B):
-    """Block matrix [[A, B], [B, A]]."""
-    k = len(A)
-    if len(B) != k or any(len(r) != k for r in A) or any(len(r) != k for r in B):
-        raise CoordinateError("A and B must be square of the same size")
-    top = [list(ra) + list(rb) for ra, rb in zip(A, B)]
-    bot = [list(rb) + list(ra) for ra, rb in zip(A, B)]
-    return top + bot
+# matrix product
 
 
 def mat_mul(A, B):
     return [
         [sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A
     ]
-
-
-def mat_pow(A, m: int):
-    n = len(A)
-    out = [[int(i == j) for j in range(n)] for i in range(n)]
-    base = [list(r) for r in A]
-    while m:
-        if m & 1:
-            out = mat_mul(out, base)
-        base = mat_mul(base, base)
-        m >>= 1
-    return out
-
-
-# ---------------------------------------------------------------------------
-# matrix JSON (entries as decimal strings; values can exceed 64 bits)
-
-
-def matrix_to_json(M) -> str:
-    return json.dumps({"matrix": [[str(x) for x in row] for row in M]})
-
-
-def matrix_from_json(text: str):
-    doc = json.loads(text)
-    return [[int(x) for x in row] for row in doc["matrix"]]

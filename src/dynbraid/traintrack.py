@@ -25,15 +25,16 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 import mpmath
 
-from .coords import DynnikovVector, TriangleCoords, from_triangle
+from .coords import DynnikovVector
 from .errors import (
     NoDominantRealRoot,
+    NonConvergence,
     NotIrreducible,
     TieAtBasepoint,
     TrackFormatError,
@@ -246,19 +247,6 @@ def load_transition_matrix(text: str) -> TransitionMatrix:
 
 
 # ---------------------------------------------------------------------------
-# switch conditions
-
-
-def check_switch_conditions(track: TrainTrack, mu: Measure) -> bool:
-    for s in track.switches:
-        lhs = sum(mu[b] for b in s.sideA)
-        rhs = sum(mu[b] for b in s.sideB)
-        if lhs != rhs:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 # Perron-Frobenius data of a transition matrix
 
 
@@ -267,7 +255,8 @@ def transition_pf(T: TransitionMatrix, precision: int = 30):
 
     The eigenvalue is refined against the exact characteristic polynomial;
     NotIrreducible is raised when no simple dominant eigenvalue > 1 exists or
-    the eigenvector has a vanishing entry.
+    the eigenvector has a vanishing entry, and NonConvergence when the power
+    iteration for the eigenvector does not settle.
     """
     M = T.main_block()
     try:
@@ -285,6 +274,10 @@ def transition_pf(T: TransitionMatrix, precision: int = 30):
                 v = nv
                 break
             v = nv
+        else:
+            raise NonConvergence(
+                "power iteration for the PF eigenvector did not converge in 5000 steps"
+            )
         euclid = mpmath.sqrt(sum(x * x for x in v))
         v = [x / euclid for x in v]
         if min(v) <= mpmath.mpf(10) ** -(precision):
@@ -650,6 +643,7 @@ def _oriented_ends(track: TrainTrack, step):
 
 
 def _path_measure_generic(track: TrainTrack, path: TrainPath, mu, mn, mx, zero):
+    """Total measure of the leaves following the path (the p-hat overlap)."""
     if not path.steps:
         raise TrackFormatError("empty train path")
     first = path.steps[0][0]
@@ -669,11 +663,6 @@ def _path_measure_generic(track: TrainTrack, path: TrainPath, mu, mn, mx, zero):
         lo = mx(lo, zero)
         hi = mn(hi, zero + mu[cur[0]])
     return mx(hi - lo, zero)
-
-
-def path_measure(track: TrainTrack, path: TrainPath, mu: Measure):
-    """Total measure of the leaves following the path (the p-hat overlap)."""
-    return _path_measure_generic(track, path, mu, min, max, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -698,6 +687,7 @@ def _parse_path_tokens(tokens) -> TrainPath:
 
 
 def _arc_measure_generic(track, ann, name, mu, mn, mx, zero):
+    """Arc measure: sum of n_i mu(e_i) minus twice each minimal path measure."""
     spec = ann.get(name)
     if spec is None:
         raise TrackFormatError(f"no annotation for arc {name!r}")
@@ -718,11 +708,6 @@ def _arc_measure_generic(track, ann, name, mu, mn, mx, zero):
         phat = _path_measure_generic(track, _parse_path_tokens(tokens), mu, mn, mx, zero)
         total = total - 2 * phat
     return total
-
-
-def arc_measure(track: TrainTrack, ann: dict, name: str, mu: Measure):
-    """Arc measure: sum of n_i mu(e_i) minus twice each minimal path measure."""
-    return _arc_measure_generic(track, ann, name, mu, min, max, 0)
 
 
 def _change_of_coords_generic(track, mu, mn, mx, zero, half):

@@ -116,9 +116,6 @@ class BranchSignature:
     def has_ties(self) -> bool:
         return any(any(t) for _, t in self.letters)
 
-    def choices_only(self) -> tuple:
-        return tuple(c for c, _ in self.letters)
-
 
 class Jet:
     """A value together with its gradient row: a linear function near a point."""
@@ -232,14 +229,3 @@ def traced_apply(v: DynnikovVector, w: BraidWord) -> TraceResult:
     out = DynnikovVector(v.strands, tuple(j.val for j in a), tuple(j.val for j in b))
     matrix = tuple(j.row for j in a + b)
     return TraceResult(out, BranchSignature(tuple(per_letter)), matrix, tuple(rec.constraints))
-
-
-def elementary_matrix(v: DynnikovVector, i: int, sign: int) -> TraceResult:
-    """The local integer matrix of a single generator at v."""
-    return traced_apply(v, BraidWord(v.strands, ((i, sign),)))
-
-
-def matrix_apply(matrix, v: DynnikovVector) -> DynnikovVector:
-    flat = v.flat()
-    out = [sum(c * x for c, x in zip(row, flat)) for row in matrix]
-    return DynnikovVector.from_flat(v.strands, out)

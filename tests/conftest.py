@@ -116,3 +116,44 @@ def pinched_track_measure(a, b, c, d):
             "mc": Fraction(c, 2),
         }
     )
+
+
+def mat_vec(matrix, v):
+    """The vector matrix . v, as a DynnikovVector on v's strands."""
+    from dynbraid.coords import DynnikovVector
+
+    flat = v.flat()
+    return DynnikovVector.from_flat(
+        v.strands, [sum(c * x for c, x in zip(row, flat)) for row in matrix]
+    )
+
+
+def scaled(v, lam):
+    """v times the positive scalar lam."""
+    from dynbraid.coords import DynnikovVector
+
+    assert lam > 0
+    return DynnikovVector(v.strands, tuple(x * lam for x in v.a), tuple(x * lam for x in v.b))
+
+
+def block_lift(A, B):
+    """The block matrix [[A, B], [B, A]] (the double-cover lift)."""
+    top = [list(ra) + list(rb) for ra, rb in zip(A, B)]
+    bot = [list(rb) + list(ra) for ra, rb in zip(A, B)]
+    return top + bot
+
+
+def poly_mul(p, q):
+    """Product of coefficient tuples, lowest degree first."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def switch_balanced(track, mu) -> bool:
+    """Whether mu satisfies the switch condition at every switch of track."""
+    return all(
+        sum(mu[b] for b in s.sideA) == sum(mu[b] for b in s.sideB) for s in track.switches
+    )

@@ -13,45 +13,43 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from dynbraid.braid import parse_braid
-from dynbraid.coords import DynnikovVector, scale
+from dynbraid.braid import BraidWord, parse_braid
+from dynbraid.coords import DynnikovVector
 from dynbraid.regions import dynnikov_matrices, enumerate_regions_n3, find_unstable_direction
-from dynbraid.spectral import char_poly, dilatation, double_cover_lift, isospectral_up_to, poly_mul
+from dynbraid.spectral import char_poly, dilatation, isospectral_up_to
 from dynbraid.traintrack import (
     Measure,
     TrainPath,
+    _path_measure_generic,
     catalan,
     change_of_coords,
-    check_switch_conditions,
     diagonal_extensions_count,
     enumerate_diagonal_extensions,
     load_track,
     load_transition_matrix,
-    path_measure,
     pinch_punctured,
     pinch_unpunctured,
     solve_completion,
     transition_pf,
     verify_conjugacy,
 )
-from dynbraid.update import (
-    apply_braid,
-    apply_generator,
-    elementary_matrix,
-    matrix_apply,
-    traced_apply,
-)
+from dynbraid.update import apply_braid, apply_generator, traced_apply
 
 from conftest import (
+    block_lift,
     det_fraction,
     example_track_measure,
     fraction_matrix,
     int_matrix,
     load_fixture,
+    mat_vec,
+    poly_mul,
     random_rational,
     random_triangleish,
     random_vector,
     random_word,
+    scaled,
+    switch_balanced,
 )
 
 from test_regions import (
@@ -192,7 +190,7 @@ def test_criterion_7_action_property_suite():
         v = random_vector(rng, n)
         w = random_word(rng, n, rng.randint(1, 8))
         lam = Fraction(rng.randint(1, 20), rng.randint(1, 20))
-        assert apply_braid(scale(v, lam), w) == scale(apply_braid(v, w), lam)
+        assert apply_braid(scaled(v, lam), w) == scaled(apply_braid(v, w), lam)
     # local linearity at signature-preserving rational perturbations
     checked = 0
     while checked < 500:
@@ -212,14 +210,14 @@ def test_criterion_7_action_property_suite():
         if any(sum(c * x for c, x in zip(row, p)) <= 0 for row in tr.constraints):
             continue
         u = DynnikovVector.from_flat(n, p)
-        assert apply_braid(u, w) == matrix_apply(tr.matrix, u)
+        assert apply_braid(u, w) == mat_vec(tr.matrix, u)
         checked += 1
     # elementary matrices have determinant +-1
     checked = 0
     while checked < 500:
         n = rng.randint(3, 7)
         v = random_vector(rng, n)
-        tr = elementary_matrix(v, rng.randint(1, n - 1), rng.choice((1, -1)))
+        tr = traced_apply(v, BraidWord(n, ((rng.randint(1, n - 1), rng.choice((1, -1))),)))
         if tr.signature.has_ties:
             continue
         assert abs(det_fraction(tr.matrix)) == 1
@@ -240,7 +238,7 @@ def test_criterion_8_spectral_property_suite():
         n = rng.randint(1, 4)
         A = rand_matrix(rng, n)
         B = rand_matrix(rng, n)
-        lhs = char_poly(double_cover_lift(A, B)).coeffs
+        lhs = char_poly(block_lift(A, B)).coeffs
         plus = char_poly([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)])
         minus = char_poly([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)])
         assert lhs == poly_mul(plus.coeffs, minus.coeffs)
@@ -279,7 +277,7 @@ def test_criterion_9_train_track_property_suite():
         new, psi = pinch_unpunctured(square, "e1")
         assert new.rank == square.rank + 1
         mu = psi(uniform_measure(square, w))
-        assert check_switch_conditions(new, mu)
+        assert switch_balanced(new, mu)
         assert all(x >= 0 for x in mu.weights.values())
         x, y = Fraction(rng.randint(1, 30)), Fraction(rng.randint(1, 30))
         mu0 = Measure(
@@ -290,11 +288,11 @@ def test_criterion_9_train_track_property_suite():
                 "p": x, "q": y,
             }
         )
-        assert check_switch_conditions(base, mu0)
+        assert switch_balanced(base, mu0)
         new2, psi2 = pinch_punctured(base, "p")
         assert new2.rank == base.rank + 1 and new2.is_complete
         mu2 = psi2(mu0)
-        assert check_switch_conditions(new2, mu2)
+        assert switch_balanced(new2, mu2)
         assert all(v >= 0 for v in mu2.weights.values())
     # extension counts match the Catalan product for all polygon multisets
     # with at most 6 vertices total per polygon
@@ -331,8 +329,8 @@ def test_criterion_9_train_track_property_suite():
     for _ in range(100):
         a, b, c, d = random_triangleish(rng)
         mu = example_track_measure(a, b, c, d)
-        assert path_measure(track, p1, mu) == min(mu["m2"], mu["m6"])
-        assert path_measure(track, p2, mu) == min(mu["d"], mu["m3"])
+        assert _path_measure_generic(track, p1, mu, min, max, 0) == min(mu["m2"], mu["m6"])
+        assert _path_measure_generic(track, p2, mu, min, max, 0) == min(mu["d"], mu["m3"])
         v = change_of_coords(track, mu)
         assert v.a == ((max(a, c) - b) / 2, max(-c, -d) / 2)
         assert v.b == ((a - c) / 2, (c - d) / 2)

@@ -2,10 +2,14 @@ import ast
 import json
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import pytest
 
+import dynbraid
 from dynbraid.braid import parse_braid
 from dynbraid.cli import main
 from dynbraid.coords import DynnikovVector
@@ -74,6 +78,7 @@ def test_matrix_json(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["matrices"][0]["matrix"] == [["2", "1"], ["1", "1"]]
+    assert all(len(row) == 2 for row in doc["matrices"][0]["region"])
 
 
 def test_matrix_text(capsys):
@@ -474,3 +479,28 @@ def test_conjugacy_matrix_file_shape_exits_2(tmp_path, capsys, doc):
     assert code == 2
     assert out == ""
     assert "square rows" in err
+
+
+def test_closed_stdout_exits_141_quietly():
+    env = dict(os.environ, PYTHONPATH=str(Path(dynbraid.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dynbraid.cli", "matrix", "-n", "3", "-w", "1 -2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()  # the reader is gone before the child writes
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert err == b""
+
+
+def test_track_pf_unconverged_eigenvector_exits_3(capsys, tmp_path):
+    # eigenvalue ratio (1000 - sqrt 2) / (1000 + sqrt 2): 5000 power steps
+    # leave an error near 1e-6, far above the 1e-27 the loop asks for
+    path = tmp_path / "slow.json"
+    path.write_text('{"m": 2, "matrix": [[1000, 1], [2, 1000]]}')
+    code, out, err = run(capsys, "track", "pf", str(path))
+    assert code == 3
+    assert out == ""
+    assert "did not converge" in err

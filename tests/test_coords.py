@@ -1,66 +1,9 @@
-import random
 from fractions import Fraction
 
-import mpmath
 import pytest
 
-from dynbraid.coords import (
-    DynnikovVector,
-    TriangleCoords,
-    from_triangle,
-    normalize,
-    positive_normalize,
-    projective_distance,
-    scale,
-    to_mpf,
-)
+from dynbraid.coords import DynnikovVector
 from dynbraid.errors import CoordinateError
-
-from conftest import random_rational, random_vector
-
-
-def test_triangle_to_dynnikov_known_values():
-    t = TriangleCoords((4, 2, 1, 3, 2, 0), (6, 4, 2, 2))
-    v = from_triangle(t)
-    assert v.strands == 5
-    assert v.a == (-1, 1, -1)
-    assert v.b == (1, 1, 0)
-
-
-def test_triangle_rejects_negative_and_mismatch():
-    with pytest.raises(CoordinateError):
-        TriangleCoords((1, -1), (1, 1))
-    with pytest.raises(CoordinateError):
-        TriangleCoords((1, 2), (1, 1, 1))
-    with pytest.raises(CoordinateError):
-        TriangleCoords((1,), (1, 1))
-
-
-def test_triangle_all_equal_degenerates():
-    with pytest.raises(CoordinateError):
-        from_triangle(TriangleCoords((3, 3), (3, 3)))
-
-
-def test_from_triangle_is_linear():
-    rng = random.Random(11)
-    for _ in range(50):
-        n = rng.randint(3, 6)
-        alpha1 = tuple(Fraction(rng.randint(0, 20)) for _ in range(2 * n - 4))
-        beta1 = tuple(Fraction(rng.randint(0, 20)) for _ in range(n - 1))
-        alpha2 = tuple(Fraction(rng.randint(0, 20)) for _ in range(2 * n - 4))
-        beta2 = tuple(Fraction(rng.randint(0, 20)) for _ in range(n - 1))
-        try:
-            v1 = from_triangle(TriangleCoords(alpha1, beta1))
-            v2 = from_triangle(TriangleCoords(alpha2, beta2))
-            vs = from_triangle(
-                TriangleCoords(
-                    tuple(x + y for x, y in zip(alpha1, alpha2)),
-                    tuple(x + y for x, y in zip(beta1, beta2)),
-                )
-            )
-        except CoordinateError:
-            continue  # degenerate sample
-        assert vs.flat() == tuple(x + y for x, y in zip(v1.flat(), v2.flat()))
 
 
 def test_zero_vector_rejected():
@@ -81,50 +24,6 @@ def test_flat_round_trip():
     assert v.flat() == (1, 2, 3, 4)
 
 
-def test_scale_requires_positive():
-    v = DynnikovVector(3, (1,), (2,))
-    assert scale(v, Fraction(1, 2)).flat() == (Fraction(1, 2), 1)
-    with pytest.raises(CoordinateError):
-        scale(v, 0)
-    with pytest.raises(CoordinateError):
-        scale(v, -1)
-
-
-def test_positive_normalize_keeps_sign():
-    v = DynnikovVector(3, (-4,), (2,))
-    u = positive_normalize(v)
-    assert u.flat() == (-1, Fraction(1, 2))
-
-
-def test_normalize_canonical_sign():
-    v = DynnikovVector(3, (-4,), (2,))
-    u = normalize(v)
-    assert u.flat() == (1, Fraction(-1, 2))
-    assert u.sup_norm() == 1
-    # already canonical vectors are fixed
-    assert normalize(u) == u
-
-
-def test_projective_distance_quotients_scaling_and_sign():
-    rng = random.Random(13)
-    for _ in range(50):
-        v = random_vector(rng, rng.randint(3, 6))
-        lam = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-        assert projective_distance(v, scale(v, lam)) == 0
-        neg = DynnikovVector(
-            v.strands, tuple(-x for x in v.a), tuple(-x for x in v.b)
-        )
-        assert projective_distance(v, neg) == 0
-
-
-def test_projective_distance_separates():
-    v1 = DynnikovVector(3, (1,), (0,))
-    v2 = DynnikovVector(3, (0,), (1,))
-    assert projective_distance(v1, v2) == 1
-    with pytest.raises(CoordinateError):
-        projective_distance(v1, DynnikovVector(4, (1, 0), (0, 0)))
-
-
 def test_json_round_trip_exact():
     v = DynnikovVector(4, (Fraction(1, 3), -2), (0, Fraction(-7, 5)))
     u = DynnikovVector.from_json(v.to_json())
@@ -137,18 +36,3 @@ def test_json_round_trip_float():
     u = DynnikovVector.from_json(v.to_json())
     assert u.flat() == (0.5, -1.25)
     assert not u.is_exact()
-
-
-def test_to_mpf():
-    with mpmath.workprec(100):
-        v = to_mpf(DynnikovVector(3, (Fraction(1, 3),), (2,)))
-        assert all(isinstance(x, mpmath.mpf) for x in v.flat())
-        assert abs(v.a[0] - mpmath.mpf(1) / 3) < mpmath.mpf(2) ** -90
-
-
-def test_sup_norm():
-    rng = random.Random(17)
-    for _ in range(30):
-        v = random_vector(rng, 5)
-        assert v.sup_norm() == max(abs(x) for x in v.flat())
-        assert v.sup_norm() > 0

@@ -6,24 +6,21 @@ import pytest
 
 from dynbraid.braid import parse_braid
 from dynbraid.errors import NoDominantRealRoot
-from dynbraid.regions import compare_power
+from dynbraid.regions import dynnikov_matrices
 from dynbraid.spectral import (
     CharPoly,
     char_poly,
     cyclotomic,
     dilatation,
-    double_cover_lift,
     euler_phi,
     isospectral_up_to,
     mat_mul,
-    mat_pow,
-    matrix_from_json,
-    matrix_to_json,
     poly_divides,
     poly_divmod,
-    poly_mul,
     strip_trivial_factors,
 )
+
+from conftest import block_lift, poly_mul
 
 
 def rand_matrix(rng, n, span=9):
@@ -136,11 +133,6 @@ def test_char_poly_big_integers():
 def test_char_poly_evaluation():
     p = CharPoly((1, -3, 1))
     assert p(0) == 1 and p(3) == 1 and p(Fraction(1, 2)) == Fraction(-1, 4)
-
-
-def test_char_poly_json_round_trip():
-    p = CharPoly((10**30, -5, 1))
-    assert CharPoly.from_json(p.to_json()) == p
 
 
 # ---------------------------------------------------------------------------
@@ -432,33 +424,15 @@ def test_double_cover_identity():
         n = rng.randint(1, 4)
         A = rand_matrix(rng, n)
         B = rand_matrix(rng, n)
-        lhs = char_poly(double_cover_lift(A, B)).coeffs
+        lhs = char_poly(block_lift(A, B)).coeffs
         plus = char_poly([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)])
         minus = char_poly([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)])
         assert lhs == poly_mul(plus.coeffs, minus.coeffs)
 
 
-def test_double_cover_shape_validation():
-    from dynbraid.errors import CoordinateError
-
-    with pytest.raises(CoordinateError):
-        double_cover_lift([[1]], [[1, 0], [0, 1]])
-
-
-def test_mat_pow():
-    M = [[2, 1], [1, 1]]
-    assert mat_pow(M, 0) == [[1, 0], [0, 1]]
-    assert mat_pow(M, 1) == M
-    assert mat_pow(M, 3) == mat_mul(M, mat_mul(M, M))
-
-
 def test_compare_power_golden():
     w = parse_braid("1 -2", 3)
     T = [[2, 1], [1, 1]]
-    assert compare_power(w, 1, T).isospectral
-    assert compare_power(w, 2, T).isospectral
-
-
-def test_matrix_json_round_trip_big():
-    M = [[-(10**18), 2], [3, 10**18]]
-    assert matrix_from_json(matrix_to_json(M)) == M
+    for m, Tm in ((1, T), (2, mat_mul(T, T))):
+        D = [list(r) for r in dynnikov_matrices(w**m)[0].matrix]
+        assert isospectral_up_to(D, Tm, "eigenvalues_one").isospectral

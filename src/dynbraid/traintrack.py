@@ -5,7 +5,14 @@ two ordered lists of half-branch ends (one per side of the tangent line),
 branches join two such ends, and the complementary regions are recorded as
 punctured p-gons or unpunctured k-gons.  The planar embedding enters only
 through the ordering of the half-branch lists and through user-supplied arc
-annotations; no drawing is ever interpreted.
+annotations; no drawing is ever interpreted.  Switch and branch ids are
+unique; a track that repeats one is rejected when it is validated.
+
+The moves that edit a track (both pinches and the diagonal extensions) are
+built from one surgery primitive: it mints every new id by one rule (base,
+base2, base3, ..., never an id already in the track or the surgery), writes
+every switch slot in one place, validates the result and returns it with its
+measure map.
 
 Measures live on branches and satisfy the switch conditions.  Path measures
 are computed by interval propagation: a branch of weight w is the interval
@@ -27,7 +34,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import mpmath
 
@@ -83,12 +90,6 @@ class TrainTrack:
     polygons: tuple  # of Polygon
     annotations: dict | None = None
 
-    def switch(self, sid: str) -> Switch:
-        for s in self.switches:
-            if s.id == sid:
-                return s
-        raise TrackFormatError(f"unknown switch {sid!r}")
-
     def branch(self, bid: str) -> Branch:
         for b in self.branches:
             if b.id == bid:
@@ -131,6 +132,8 @@ class TrainTrack:
         if len(seen) != len(side_slots):
             dangling = set(side_slots) - seen
             raise TrackFormatError(f"dangling half-branch slots: {sorted(dangling)}")
+        _unique_ids("switch", self.switches)
+        branch_ids = _unique_ids("branch", self.branches)
         for p in self.polygons:
             if p.punctured:
                 if p.vertices < 1:
@@ -139,7 +142,19 @@ class TrainTrack:
                 raise TrackFormatError("unpunctured polygon needs >= 3 vertices")
             if p.edges is not None and len(p.edges) != p.vertices:
                 raise TrackFormatError("polygon edge list length != vertex count")
+            for e in p.edges or ():
+                if not isinstance(e, str) or e not in branch_ids:
+                    raise TrackFormatError(f"polygon edge {e!r} is not a branch")
         return self
+
+
+def _unique_ids(what: str, items) -> set:
+    ids = set()
+    for x in items:
+        if x.id in ids:
+            raise TrackFormatError(f"duplicate {what} id {x.id!r}")
+        ids.add(x.id)
+    return ids
 
 
 @dataclass(frozen=True)
@@ -230,7 +245,7 @@ def load_track(text: str) -> TrainTrack:
         track = TrainTrack(
             int(doc["n"]), switches, branches, polygons, doc.get("annotations")
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise TrackFormatError(f"malformed track document: {exc}") from None
     return track.validate()
 
@@ -286,45 +301,98 @@ def transition_pf(T: TransitionMatrix, precision: int = 30):
 
 
 # ---------------------------------------------------------------------------
+# surgery: the one primitive behind the pinching moves and the extensions
+
+
+class _Surgery:
+    """Edits of one track, keyed by id: new switches, new branches, moved ends.
+
+    ``fresh`` mints every new id, and ``_put`` writes every switch slot.
+    ``finish`` validates the edited track and returns it with its measure
+    map, which keeps the old weights and gives each added branch the sum of
+    its terms (coefficient, old branch id).
+    """
+
+    def __init__(self, track: TrainTrack):
+        self.track = track
+        self.sides = {s.id: {"A": list(s.sideA), "B": list(s.sideB)} for s in track.switches}
+        self.branches = {b.id: b for b in track.branches}
+        self.taken = set(self.sides) | set(self.branches)
+        self.terms = {}
+
+    def fresh(self, base: str) -> str:
+        """The first of base, base2, base3, ... that is no id of the track or
+        of this surgery."""
+        name, k = base, 2
+        while name in self.taken:
+            name, k = f"{base}{k}", k + 1
+        self.taken.add(name)
+        return name
+
+    def add_switch(self, base: str, a: int, b: int) -> str:
+        """A new switch with a and b empty slots on its sides A and B."""
+        sid = self.fresh(base)
+        self.sides[sid] = {"A": [None] * a, "B": [None] * b}
+        return sid
+
+    def _put(self, end: End, bid: str) -> None:
+        self.sides[end.switch][end.side][end.pos] = bid
+
+    def move_end(self, bid: str, i: int, end: End) -> End:
+        """Move end i of branch bid to the slot end; returns the slot it frees."""
+        b = self.branches[bid]
+        ends = list(b.ends)
+        freed, ends[i] = ends[i], end
+        self._put(end, bid)
+        self.branches[bid] = Branch(bid, b.kind, tuple(ends))
+        return freed
+
+    def add_branch(self, bid: str, kind: str, ends: tuple, terms: list) -> None:
+        for end in ends:
+            self._put(end, bid)
+        self.branches[bid] = Branch(bid, kind, ends)
+        self.terms[bid] = terms
+
+    def finish(self, polygons):
+        old = self.track
+        track = TrainTrack(
+            old.strands,
+            tuple(Switch(sid, tuple(s["A"]), tuple(s["B"])) for sid, s in self.sides.items()),
+            tuple(self.branches.values()),
+            tuple(polygons),
+            old.annotations,
+        ).validate()
+        terms = self.terms
+
+        def psi(mu: Measure) -> Measure:
+            out = dict(mu.weights)
+            for bid, ts in terms.items():
+                out[bid] = sum(c * mu[src] for c, src in ts)
+            return Measure(out)
+
+        return track, psi
+
+
+# ---------------------------------------------------------------------------
 # pinching moves
 
 
-def _replace_slot(switches, end: End, new_bid: str):
-    out = []
-    for s in switches:
-        if s.id == end.switch:
-            if end.side == "A":
-                lst = list(s.sideA)
-                lst[end.pos] = new_bid
-                s = Switch(s.id, tuple(lst), s.sideB)
-            else:
-                lst = list(s.sideB)
-                lst[end.pos] = new_bid
-                s = Switch(s.id, s.sideA, tuple(lst))
-        out.append(s)
-    return tuple(out)
-
-
-def _fresh(track: TrainTrack, base: str) -> str:
-    names = {b.id for b in track.branches} | {s.id for s in track.switches}
-    if base not in names:
-        return base
-    k = 2
-    while f"{base}{k}" in names:
-        k += 1
-    return f"{base}{k}"
-
-
-def _psi_from_map(exprs):
-    """Measure map: new branch id -> list of (coeff, old branch id)."""
-
-    def psi(mu: Measure) -> Measure:
-        out = dict(mu.weights)
-        for bid, terms in exprs.items():
-            out[bid] = sum(c * mu[old] for c, old in terms)
-        return Measure(out)
-
-    return psi
+def _pinch_start(track: TrainTrack, edge: str, punctured: bool, least: int):
+    """The polygon pinched at edge, and a surgery holding the two new switches
+    and the id of the infinitesimal branch that will join their sides A."""
+    for poly in track.polygons:
+        if poly.punctured == punctured and poly.vertices >= least and poly.edges:
+            if edge in poly.edges:
+                break
+    else:
+        kind = "a punctured" if punctured else "an unpunctured"
+        raise TrackFormatError(
+            f"edge {edge!r} does not lie on {kind} >={least}-gon with known edges"
+        )
+    sg = _Surgery(track)
+    s1 = sg.add_switch(f"pin_{edge}_a", 1, 2)
+    s2 = sg.add_switch(f"pin_{edge}_b", 1, 2)
+    return poly, sg, s1, s2, sg.fresh(f"eps_{edge}")
 
 
 def pinch_unpunctured(track: TrainTrack, edge: str):
@@ -334,61 +402,33 @@ def pinch_unpunctured(track: TrainTrack, edge: str):
     pinched edge through two new switches; returns the new track and the
     measure map.
     """
-    poly = None
-    for p in track.polygons:
-        if not p.punctured and p.vertices >= 4 and p.edges and edge in p.edges:
-            poly = p
-            break
-    if poly is None:
-        raise TrackFormatError(
-            f"edge {edge!r} does not lie on an unpunctured >=4-gon with known edges"
-        )
+    poly, sg, s1, s2, eps = _pinch_start(track, edge, False, 4)
     t = poly.vertices
     i = poly.edges.index(edge)
     prev_e = poly.edges[(i - 1) % t]
     next_e = poly.edges[(i + 1) % t]
     if prev_e == edge or next_e == edge or prev_e == next_e:
         raise TrackFormatError("pinching needs three distinct consecutive edges")
-    s1 = _fresh(track, f"pin_{edge}_a")
-    s2 = _fresh(track, f"pin_{edge}_b")
-    eps = _fresh(track, f"eps_{edge}")
-    prev_new = _fresh(track, f"{prev_e}'")
-    next_new = _fresh(track, f"{next_e}'")
+    prev_new = sg.fresh(f"{prev_e}'")
+    next_new = sg.fresh(f"{next_e}'")
     # move one end of each neighbor to a new switch; the split-off stub takes
     # its old place
-    bprev = track.branch(prev_e)
-    bnext = track.branch(next_e)
-    old_prev_end = bprev.ends[1]
-    old_next_end = bnext.ends[1]
-    switches = _replace_slot(track.switches, old_prev_end, prev_new)
-    switches = _replace_slot(switches, old_next_end, next_new)
-    switches += (
-        Switch(s1, (eps,), (prev_e, next_new)),
-        Switch(s2, (eps,), (prev_new, next_e)),
-    )
-    branches = []
-    for b in track.branches:
-        if b.id == prev_e:
-            b = Branch(b.id, b.kind, (b.ends[0], End(s1, "B", 0)))
-        elif b.id == next_e:
-            b = Branch(b.id, b.kind, (b.ends[0], End(s2, "B", 1)))
-        branches.append(b)
-    branches += [
-        Branch(prev_new, bprev.kind, (End(s2, "B", 0), old_prev_end)),
-        Branch(next_new, bnext.kind, (End(s1, "B", 1), old_next_end)),
-        Branch(eps, "infinitesimal", (End(s1, "A", 0), End(s2, "A", 0))),
-    ]
-    polygons = [p for p in track.polygons if p is not poly]
-    trigon = Polygon(False, 3, (prev_e, edge, next_e))
+    old_prev = sg.move_end(prev_e, 1, End(s1, "B", 0))
+    old_next = sg.move_end(next_e, 1, End(s2, "B", 1))
+    kind = sg.branches[prev_e].kind
+    sg.add_branch(prev_new, kind, (End(s2, "B", 0), old_prev), [(1, prev_e)])
+    kind = sg.branches[next_e].kind
+    sg.add_branch(next_new, kind, (End(s1, "B", 1), old_next), [(1, next_e)])
+    eps_ends = (End(s1, "A", 0), End(s2, "A", 0))
+    sg.add_branch(eps, "infinitesimal", eps_ends, [(1, prev_e), (1, next_e)])
     rest = tuple(poly.edges[(i + 2 + k) % t] for k in range(t - 3))
-    polygons += [trigon, Polygon(False, t - 1, (next_new,) + rest + (prev_new,))]
-    new_track = TrainTrack(
-        track.strands, switches, tuple(branches), tuple(polygons), track.annotations
-    ).validate()
-    psi = _psi_from_map(
-        {prev_new: [(1, prev_e)], next_new: [(1, next_e)], eps: [(1, prev_e), (1, next_e)]}
+    return sg.finish(
+        [p for p in track.polygons if p is not poly]
+        + [
+            Polygon(False, 3, (prev_e, edge, next_e)),
+            Polygon(False, t - 1, (next_new,) + rest + (prev_new,)),
+        ]
     )
-    return new_track, psi
 
 
 def pinch_punctured(track: TrainTrack, edge: str):
@@ -398,51 +438,22 @@ def pinch_punctured(track: TrainTrack, edge: str):
     edge's two old slots are taken over by split-off stubs and the new edge
     of weight 2w hugs the puncture.
     """
-    poly = None
-    for p in track.polygons:
-        if p.punctured and p.vertices >= 2 and p.edges and edge in p.edges:
-            poly = p
-            break
-    if poly is None:
-        raise TrackFormatError(
-            f"edge {edge!r} does not lie on a punctured >=2-gon with known edges"
-        )
+    poly, sg, s1, s2, eps = _pinch_start(track, edge, True, 2)
     t = poly.vertices
     i = poly.edges.index(edge)
-    b = track.branch(edge)
-    s1 = _fresh(track, f"pin_{edge}_a")
-    s2 = _fresh(track, f"pin_{edge}_b")
-    eps = _fresh(track, f"eps_{edge}")
-    e1 = _fresh(track, f"{edge}'")
-    e2 = _fresh(track, f"{edge}''")
-    old_from, old_to = b.ends
-    switches = _replace_slot(track.switches, old_from, e1)
-    switches = _replace_slot(switches, old_to, e2)
-    switches += (
-        Switch(s1, (eps,), (edge, e2)),
-        Switch(s2, (eps,), (e1, edge)),
-    )
-    branches = []
-    for br in track.branches:
-        if br.id == edge:
-            br = Branch(br.id, br.kind, (End(s1, "B", 0), End(s2, "B", 1)))
-        branches.append(br)
-    branches += [
-        Branch(e1, b.kind, (old_from, End(s2, "B", 0))),
-        Branch(e2, b.kind, (End(s1, "B", 1), old_to)),
-        Branch(eps, "infinitesimal", (End(s1, "A", 0), End(s2, "A", 0))),
-    ]
-    polygons = [p for p in track.polygons if p is not poly]
+    e1 = sg.fresh(f"{edge}'")
+    e2 = sg.fresh(f"{edge}''")
+    old_from = sg.move_end(edge, 0, End(s1, "B", 0))
+    old_to = sg.move_end(edge, 1, End(s2, "B", 1))
+    kind = sg.branches[edge].kind
+    sg.add_branch(e1, kind, (old_from, End(s2, "B", 0)), [(1, edge)])
+    sg.add_branch(e2, kind, (End(s1, "B", 1), old_to), [(1, edge)])
+    sg.add_branch(eps, "infinitesimal", (End(s1, "A", 0), End(s2, "A", 0)), [(2, edge)])
     rest = tuple(poly.edges[(i + 1 + k) % t] for k in range(t - 1))
-    polygons += [
-        Polygon(True, 1, (edge,)),
-        Polygon(False, t + 1, (e2,) + rest + (e1,)),
-    ]
-    new_track = TrainTrack(
-        track.strands, switches, tuple(branches), tuple(polygons), track.annotations
-    ).validate()
-    psi = _psi_from_map({e1: [(1, edge)], e2: [(1, edge)], eps: [(2, edge)]})
-    return new_track, psi
+    return sg.finish(
+        [p for p in track.polygons if p is not poly]
+        + [Polygon(True, 1, (edge,)), Polygon(False, t + 1, (e2,) + rest + (e1,))]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -455,15 +466,16 @@ def catalan(t: int) -> int:
     return comb(2 * t, t) - comb(2 * t, t - 1)
 
 
+def _extensions_of(p: Polygon) -> int:
+    """Number of complete diagonal extensions of one complementary polygon."""
+    if p.punctured:
+        return p.vertices * catalan(p.vertices - 1)
+    return catalan(p.vertices - 2)
+
+
 def diagonal_extensions_count(track: TrainTrack) -> int:
     """Product of Catalan factors over the complementary polygons."""
-    total = 1
-    for p in track.polygons:
-        if p.punctured:
-            total *= p.vertices * catalan(p.vertices - 1)
-        else:
-            total *= catalan(p.vertices - 2)
-    return total
+    return prod(_extensions_of(p) for p in track.polygons)
 
 
 def _triangulations(vs):
@@ -490,51 +502,35 @@ def _triangulations(vs):
     return out
 
 
-class _Splitter:
-    """Tracks repeated splitting of polygon sides while adding diagonals."""
-
-    def __init__(self, track: TrainTrack):
-        self.switches = list(track.switches)
-        self.branches = list(track.branches)
-        self.track = track
-        self.exprs = {}
-        self.seq = 0
-        self.current = {}  # polygon side index -> branch id currently there
-
-    def _name(self, base):
-        self.seq += 1
-        return f"{base}.{self.seq}"
-
-    def attach(self, host_bid: str, new_branch_bid: str):
-        """Split host branch with a new switch and hang new_branch_bid there.
-
-        Returns (stub id, End for the hanging branch).  The stub inherits the
-        host's weight; the hanging branch gets weight zero, keeping every
-        switch balanced.
-        """
-        host = next(b for b in self.branches if b.id == host_bid)
-        sw = self._name(f"sp_{host_bid}")
-        stub = self._name(f"{host_bid}x")
-        old_end = host.ends[1]
-        for i, s in enumerate(self.switches):
-            if s.id == old_end.switch:
-                lst = list(s.sideA if old_end.side == "A" else s.sideB)
-                lst[old_end.pos] = stub
-                self.switches[i] = (
-                    Switch(s.id, tuple(lst), s.sideB)
-                    if old_end.side == "A"
-                    else Switch(s.id, s.sideA, tuple(lst))
-                )
-        for i, b in enumerate(self.branches):
-            if b.id == host_bid:
-                self.branches[i] = Branch(b.id, b.kind, (b.ends[0], End(sw, "A", 0)))
-        self.switches.append(Switch(sw, (host_bid,), (stub, new_branch_bid)))
-        self.branches.append(Branch(stub, host.kind, (End(sw, "B", 0), old_end)))
-        root = host_bid
-        while root in self.exprs:
-            root = self.exprs[root][0][1]
-        self.exprs[stub] = [(1, root)]
-        return End(sw, "B", 1)
+def _plan(p: Polygon) -> list:
+    """The ways to extend polygon p, each as (the side under each vertex
+    label, the branches to add as (id base, label, label), the new polygons);
+    [None] when p is already complete."""
+    if _extensions_of(p) == 1:
+        return [None]
+    if p.edges is None:
+        raise TrackFormatError("polygon needs an edge list to enumerate its extensions")
+    t = p.vertices
+    if not p.punctured:
+        triangles = [Polygon(False, 3)] * (t - 2)
+        return [
+            (p.edges, [("diag", u, v) for u, v in diags], triangles)
+            for diags in _triangulations(list(range(t)))
+        ]
+    # a loop around the puncture at vertex i opens p into a (t+1)-gon whose
+    # labels 0..t sit at vertices i, i+1, ..., i+t (mod t); the loop joins
+    # labels 0 and t
+    pieces = [Polygon(True, 1)] + [Polygon(False, 3)] * (t - 1)
+    tris = _triangulations(list(range(t + 1)))
+    return [
+        (
+            [p.edges[(i + k) % t] for k in range(t + 1)],
+            [("loop", 0, t)] + [("diag", u, v) for u, v in diags],
+            pieces,
+        )
+        for i in range(t)
+        for diags in tris
+    ]
 
 
 def enumerate_diagonal_extensions(track: TrainTrack) -> list:
@@ -545,78 +541,30 @@ def enumerate_diagonal_extensions(track: TrainTrack) -> list:
     vertices, then the resulting (t+1)-gon is triangulated.  Returns a list
     of (TrainTrack, measure map).
     """
-    plans = []  # per polygon: list of (diagonal list over side indices, punctured vertex)
-    for p in track.polygons:
-        if p.punctured:
-            if p.vertices * catalan(p.vertices - 1) == 1:
-                plans.append([None])
-                continue
-        elif catalan(p.vertices - 2) == 1:
-            plans.append([None])
-            continue
-        if p.edges is None:
-            raise TrackFormatError(
-                "polygon needs an edge list to enumerate its extensions"
-            )
-        options = []
-        t = p.vertices
-        if not p.punctured:
-            for diags in _triangulations(list(range(t))):
-                options.append((p, None, diags))
-        else:
-            # encircle the puncture at vertex i: the loop splits vertex i,
-            # giving a (t+1)-gon on labels i, i+1, ..., i+t (mod t on sides)
-            for i in range(t):
-                labels = list(range(t + 1))
-                for diags in _triangulations(labels):
-                    options.append((p, i, diags))
-        plans.append(options)
+    plans = [_plan(p) for p in track.polygons]
     results = []
     for combo in itertools.product(*plans):
-        sp = _Splitter(track)
-        new_polygons = [p for p in track.polygons if combo[track.polygons.index(p)] is None]
-        ok = True
+        sg = _Surgery(track)
+        polygons = [p for p, choice in zip(track.polygons, combo) if choice is None]
         for choice in combo:
             if choice is None:
                 continue
-            p, punct_vertex, diags = choice
-            t = p.vertices
-            if punct_vertex is None:
-                hosts = {v: p.edges[v] for v in range(t)}
-                for (u, v) in diags:
-                    d = sp._name("diag")
-                    e1 = sp.attach(hosts[u], d)
-                    e2 = sp.attach(hosts[v], d)
-                    sp.branches.append(Branch(d, "infinitesimal", (e1, e2)))
-                    sp.exprs[d] = []
-                new_polygons += [Polygon(False, 3) for _ in range(t - 2)]
-            else:
-                loop = sp._name("loop")
-                # labels 0..t of the opened polygon; label k sits at original
-                # vertex (punct_vertex + k) % t, labels 0 and t both at the
-                # encircling vertex
-                hosts = {k: p.edges[(punct_vertex + k) % t] for k in range(t)}
-                hosts[t] = hosts[0]
-                le1 = sp.attach(hosts[0], loop)
-                le2 = sp.attach(hosts[t], loop)
-                sp.branches.append(Branch(loop, "infinitesimal", (le1, le2)))
-                sp.exprs[loop] = []
-                for (u, v) in diags:
-                    d = sp._name("diag")
-                    e1 = sp.attach(hosts[u], d)
-                    e2 = sp.attach(hosts[v], d)
-                    sp.branches.append(Branch(d, "infinitesimal", (e1, e2)))
-                    sp.exprs[d] = []
-                new_polygons += [Polygon(True, 1)]
-                new_polygons += [Polygon(False, 3) for _ in range(t - 1)]
-        new_track = TrainTrack(
-            track.strands,
-            tuple(sp.switches),
-            tuple(sp.branches),
-            tuple(new_polygons),
-            track.annotations,
-        ).validate()
-        results.append((new_track, _psi_from_map(sp.exprs)))
+            sides, added, pieces = choice
+            for base, u, v in added:
+                bid = sg.fresh(base)
+                ends = []
+                for side in (sides[u], sides[v]):
+                    # a new switch splits the side: the side's stub to its
+                    # old end keeps its weight, and bid hangs there at zero
+                    sw = sg.add_switch(f"sp_{side}", 1, 2)
+                    stub = sg.fresh(f"{side}x")
+                    old_end = sg.move_end(side, 1, End(sw, "A", 0))
+                    kind = sg.branches[side].kind
+                    sg.add_branch(stub, kind, (End(sw, "B", 0), old_end), [(1, side)])
+                    ends.append(End(sw, "B", 1))
+                sg.add_branch(bid, "infinitesimal", tuple(ends), [])
+            polygons += pieces
+        results.append(sg.finish(polygons))
     return results
 
 
@@ -723,7 +671,21 @@ def _change_of_coords_generic(track, mu, mn, mx, zero, half):
 
 
 def change_of_coords(track: TrainTrack, mu: Measure) -> DynnikovVector:
-    """Measures of all Dynnikov arcs, then halved differences."""
+    """Measures of all Dynnikov arcs, then halved differences.
+
+    mu must be a measure: every weight nonnegative and every switch balanced,
+    checked exactly (a float at its binary value); TrackFormatError otherwise.
+    """
+    try:
+        exact = {b.id: Fraction(mu[b.id]) for b in track.branches}
+    except (ValueError, OverflowError):
+        raise TrackFormatError("measure weights must be finite numbers") from None
+    for bid, w in exact.items():
+        if w < 0:
+            raise TrackFormatError(f"measure gives branch {bid!r} the negative weight {w}")
+    for s in track.switches:
+        if sum(exact[b] for b in s.sideA) != sum(exact[b] for b in s.sideB):
+            raise TrackFormatError(f"measure violates the switch condition at {s.id!r}")
 
     def half(x):
         return x / 2 if not isinstance(x, int) else Fraction(x, 2)

@@ -205,24 +205,36 @@ def test_track_extend(capsys):
     assert "2 complete diagonal extensions" in out
 
 
+COORDS_MEASURE = {
+    "a": 8, "b": 6, "c": 10, "d": 4,
+    "m1": 4, "m2": 3, "m3": 7, "m4": 2,
+    "m5": 2, "m6": 4, "m7": 6,
+}
+
+
 def test_track_coords(capsys):
-    measure = json.dumps(
-        {
-            "a": 8, "b": 6, "c": 10, "d": 4,
-            "m1": 4, "m2": 3, "m3": 7, "m4": 2,
-            "m5": 2, "m6": 4, "m7": 6,
-        }
-    )
     code, out, _ = run(
         capsys,
         "track",
         "coords",
         str(FIXTURES / "track_b4_complete.json"),
         "--measure",
-        measure,
+        json.dumps(COORDS_MEASURE),
     )
     assert code == 0
     assert out.strip() == "2 -2 -1 3"
+
+
+@pytest.mark.parametrize(
+    "change,why", [({"m5": 3}, "switch condition"), ({"a": -8}, "negative weight")]
+)
+def test_track_coords_rejects_a_bad_measure(capsys, change, why):
+    measure = json.dumps({**COORDS_MEASURE, **change})
+    path = str(FIXTURES / "track_b4_complete.json")
+    code, out, err = run(capsys, "track", "coords", path, "--measure", measure)
+    assert code == 2
+    assert out == ""
+    assert why in err
 
 
 def test_track_conjugacy_true(capsys):

@@ -5,8 +5,11 @@ dunder.  It is reached when dynbraid.__all__ exports it, when ALLOWED names it
 with a reason, or when module-level code or the body of a reached definition
 refers to it as a name or an attribute; a reference from its own body does
 not count.  Imports and strings are not references.  Methods are matched by
-name only, so a method that shares its name with a reached one passes.  Every
-module-level import outside __init__.py must be used in its module.
+name, so a method that shares its name with a reached one passes; but a
+method whose name is also a dataclass field, a __slots__ entry or a self.
+attribute somewhere in the package is reached only through a call x.name(...),
+since x.name alone may read the attribute.  Every module-level import outside
+__init__.py must be used in its module.
 """
 
 import ast
@@ -28,6 +31,7 @@ def _modules():
 
 
 def _names(nodes) -> set:
+    """Names and attributes referenced, plus "name()" for each call x.name(...)."""
     out = set()
     for node in nodes:
         for sub in ast.walk(node):
@@ -35,6 +39,31 @@ def _names(nodes) -> set:
                 out.add(sub.id)
             elif isinstance(sub, ast.Attribute):
                 out.add(sub.attr)
+            elif isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute):
+                out.add(f"{sub.func.attr}()")
+    return out
+
+
+def _attributes(trees) -> set:
+    """Names of dataclass fields, __slots__ entries and attributes set on self."""
+    out = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and "dataclass" in _names(node.decorator_list):
+                out |= {
+                    n.target.id
+                    for n in node.body
+                    if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)
+                }
+            elif isinstance(node, ast.Assign) and "__slots__" in _names(node.targets):
+                out |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"
+            ):
+                out.add(node.attr)
     return out
 
 
@@ -43,9 +72,14 @@ def _is_dunder(name: str) -> bool:
 
 
 def _index():
-    """(names referenced by module-level code, [(label, name, names its body references)])."""
+    """(names referenced by module-level code, [(label, key, names its body references)]).
+
+    A definition's key is its name, or "name()" for a method reached only by calls.
+    """
     roots, defs = set(), []
-    for mod, tree in _modules().items():
+    modules = _modules()
+    attributes = _attributes(modules.values())
+    for mod, tree in modules.items():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 roots |= _names([node])
@@ -57,7 +91,14 @@ def _index():
                 ]
                 own = [n for n in node.body if n not in methods]
                 own += node.decorator_list + node.bases + node.keywords
-                defs += [(f"{mod}: {node.name}.{m.name}", m.name, _names([m])) for m in methods]
+                defs += [
+                    (
+                        f"{mod}: {node.name}.{m.name}",
+                        f"{m.name}()" if m.name in attributes else m.name,
+                        _names([m]),
+                    )
+                    for m in methods
+                ]
             defs.append((f"{mod}: {node.name}", node.name, _names(own)))
     return roots, defs
 

@@ -72,6 +72,23 @@ def cycle_track_doc(t: int, punctured: bool, prefix: str = "e", n: int = 4):
     return {"n": n, "switches": switches, "branches": branches, "polygons": polygons}
 
 
+def monogon_doc(branch: str, switch: str) -> dict:
+    """A loop branch at one switch, bounding a punctured monogon."""
+    return {
+        "n": 3,
+        "switches": [{"id": switch, "sideA": [branch], "sideB": [branch]}],
+        "branches": [
+            {
+                "id": branch,
+                "kind": "main",
+                "from": {"switch": switch, "side": "A", "pos": 0},
+                "to": {"switch": switch, "side": "B", "pos": 0},
+            }
+        ],
+        "polygons": [{"punctured": True, "vertices": 1, "edges": [branch]}],
+    }
+
+
 def merge_docs(d1, d2):
     return {
         "n": d1["n"],
@@ -129,12 +146,41 @@ def test_load_rejects_missing_keys():
         load_track('{"n": 4, "switches": []}')
 
 
+def test_load_rejects_duplicate_branch_ids():
+    doc = merge_docs(monogon_doc("x", "s"), monogon_doc("x", "t"))
+    with pytest.raises(TrackFormatError, match="duplicate branch id 'x'"):
+        load_track(json.dumps(doc))
+
+
+def test_load_rejects_duplicate_switch_ids():
+    doc = monogon_doc("x", "s")
+    doc["switches"] *= 2  # both copies list the same slots, so every slot checks out
+    with pytest.raises(TrackFormatError, match="duplicate switch id 's'"):
+        load_track(json.dumps(doc))
+
+
+def test_load_rejects_polygon_edge_that_is_no_branch():
+    doc = cycle_track_doc(5, False)
+    doc["polygons"][0]["edges"][0] = "ghost"
+    with pytest.raises(TrackFormatError, match="'ghost' is not a branch"):
+        load_track(json.dumps(doc))
+
+
+def test_load_rejects_non_integer_fields():
+    doc = cycle_track_doc(4, False)
+    doc["polygons"][0]["vertices"] = "x"
+    with pytest.raises(TrackFormatError, match="malformed track document"):
+        load_track(json.dumps(doc))
+    doc = cycle_track_doc(4, False)
+    doc["branches"][0]["from"]["pos"] = "first"
+    with pytest.raises(TrackFormatError):
+        load_track(json.dumps(doc))
+
+
 def test_unknown_branch_and_switch_lookup():
     track = load_track(load_fixture("track_gamma_base.json"))
     with pytest.raises(TrackFormatError):
         track.branch("nope")
-    with pytest.raises(TrackFormatError):
-        track.switch("nope")
 
 
 def test_load_transition_matrix_block_form():
@@ -241,6 +287,39 @@ def test_pinch_unpunctured_pentagon_random_measures():
             assert all(x >= 0 for x in mu.weights.values())
 
 
+def track_shape(track):
+    """Ids, ends and order of a track's switches, branches and polygons."""
+    return (
+        [(s.id, s.sideA, s.sideB) for s in track.switches],
+        [(b.id, b.kind, *(f"{e.switch}:{e.side}{e.pos}" for e in b.ends)) for b in track.branches],
+        [(p.punctured, p.vertices, p.edges) for p in track.polygons],
+    )
+
+
+def test_pinch_unpunctured_golden_ids_and_ends():
+    new, _ = pinch_unpunctured(load_track(json.dumps(cycle_track_doc(4, False))), "e1")
+    assert track_shape(new) == (
+        [
+            ("es0", ("e0",), ("e1",)),
+            ("es1", ("e1",), ("e2'",)),
+            ("es2", ("e2",), ("e3",)),
+            ("es3", ("e3",), ("e0'",)),
+            ("pin_e1_a", ("eps_e1",), ("e0", "e2'")),
+            ("pin_e1_b", ("eps_e1",), ("e0'", "e2")),
+        ],
+        [
+            ("e0", "main", "es0:A0", "pin_e1_a:B0"),
+            ("e1", "main", "es1:A0", "es0:B0"),
+            ("e2", "main", "es2:A0", "pin_e1_b:B1"),
+            ("e3", "main", "es3:A0", "es2:B0"),
+            ("e0'", "main", "pin_e1_b:B0", "es3:B0"),
+            ("e2'", "main", "pin_e1_a:B1", "es1:B0"),
+            ("eps_e1", "infinitesimal", "pin_e1_a:A0", "pin_e1_b:A0"),
+        ],
+        [(False, 3, ("e0", "e1", "e2")), (False, 3, ("e2'", "e3", "e0'"))],
+    )
+
+
 def test_pinch_unpunctured_rejects_trigon_edge():
     track = load_track(json.dumps(cycle_track_doc(3, False)))
     with pytest.raises(TrackFormatError):
@@ -271,6 +350,32 @@ def test_pinch_punctured_bigon_completes_base_track():
     # the new edge hugging the puncture carries twice the pinched weight
     eps = next(b.id for b in new.branches if b.id.startswith("eps"))
     assert mu.weights[eps] == 2 * mu0["p"]
+
+
+def test_pinch_punctured_golden_ids_and_ends():
+    new, _ = pinch_punctured(load_track(load_fixture("track_gamma_base.json")), "p")
+    switches, branches, polygons = track_shape(new)
+    assert switches[4:] == [
+        ("s1", ("b",), ("p'", "q")),
+        ("s2", ("c",), ("q", "p''")),
+        ("pin_p_a", ("eps_p",), ("p", "p''")),
+        ("pin_p_b", ("eps_p",), ("p'", "p")),
+    ]
+    assert [s[0] for s in switches[:4]] == ["s_ma", "s_ma2", "s_mb", "s_mc"]
+    assert branches[7:] == [
+        ("p", "infinitesimal", "pin_p_a:B0", "pin_p_b:B1"),
+        ("q", "infinitesimal", "s1:B1", "s2:B0"),
+        ("p'", "infinitesimal", "s1:B0", "pin_p_b:B0"),
+        ("p''", "infinitesimal", "pin_p_a:B1", "s2:B1"),
+        ("eps_p", "infinitesimal", "pin_p_a:A0", "pin_p_b:A0"),
+    ]
+    assert [b[0] for b in branches[:7]] == ["a", "b", "c", "ma", "ma2", "mb", "mc"]
+    assert polygons[3:] == [
+        (False, 3, None),
+        (False, 3, None),
+        (True, 1, ("p",)),
+        (False, 3, ("p''", "q", "p'")),
+    ]
 
 
 def test_pinch_punctured_polygon_counts():
@@ -309,23 +414,7 @@ def test_catalan_numbers():
 )
 def test_extension_count_matches_enumeration(t, punctured, count):
     if punctured and t == 1:
-        doc = cycle_track_doc(2, False, n=3)
-        doc["polygons"] = [{"punctured": True, "vertices": 1, "edges": ["e0"]}]
-        # a monogon track is easier built directly: loop branch at one switch
-        doc = {
-            "n": 3,
-            "switches": [{"id": "s", "sideA": ["e0"], "sideB": ["e0"]}],
-            "branches": [
-                {
-                    "id": "e0",
-                    "kind": "main",
-                    "from": {"switch": "s", "side": "A", "pos": 0},
-                    "to": {"switch": "s", "side": "B", "pos": 0},
-                }
-            ],
-            "polygons": [{"punctured": True, "vertices": 1, "edges": ["e0"]}],
-        }
-        track = load_track(json.dumps(doc))
+        track = load_track(json.dumps(monogon_doc("e0", "s")))
     else:
         track = load_track(json.dumps(cycle_track_doc(max(t, 2), punctured)))
         if t != max(t, 2):
@@ -362,6 +451,21 @@ def test_extensions_are_valid_and_balanced():
             assert mu.weights[b.id] == Fraction(7)
         seen.add((key, tuple(sorted(mu.weights.items()))))
     assert len(seen) == len(results)  # extensions are pairwise distinct
+
+
+@pytest.mark.parametrize("taken", [{"e0": "diag.1"}, {"e0": "diag", "e2": "e1x"}])
+def test_extension_ids_avoid_the_track_ids(taken):
+    text = json.dumps(cycle_track_doc(4, False))
+    for old, name in taken.items():
+        text = text.replace(f'"{old}"', f'"{name}"')
+    track = load_track(text)
+    mu0 = uniform_measure(track, Fraction(5))
+    for new, psi in enumerate_diagonal_extensions(track):
+        ids = [b.id for b in new.branches] + [s.id for s in new.switches]
+        assert len(ids) == len(set(ids))
+        mu = psi(mu0)
+        assert all(mu.weights[b.id] == 5 for b in track.branches)
+        assert switch_balanced(new, mu)
 
 
 def test_extensions_increase_rank_to_triangulated():

@@ -23,7 +23,7 @@ from functools import partial
 import mpmath
 
 from .braid import BraidWord, parse_braid, parse_braid_file
-from .coords import DynnikovVector, decode_rational
+from .coords import DynnikovVector, decode_rational, load_json
 from .errors import (
     CoordinateError,
     DynbraidError,
@@ -31,13 +31,7 @@ from .errors import (
     TrackFormatError,
     VerificationFailed,
 )
-from .regions import (
-    DEFAULT_OPTIONS,
-    IterationOptions,
-    arcs_svg,
-    dynnikov_matrices,
-    enumerate_regions_n3,
-)
+from .regions import arcs_svg, dynnikov_matrices, enumerate_regions_n3
 from .spectral import dilatation, isospectral_up_to
 from .traintrack import (
     Measure,
@@ -55,7 +49,7 @@ from .update import apply_braid
 
 
 # errors reported as "error: ..." with an exit code, by main and per batch word
-_USER_ERRORS = (DynbraidError, OSError, ValueError, ZeroDivisionError)
+_USER_ERRORS = (DynbraidError, OSError)
 
 
 def _exit_code(exc: Exception) -> int:
@@ -66,28 +60,11 @@ def _exit_code(exc: Exception) -> int:
     return 2
 
 
-def _config(args) -> IterationOptions:
-    """Check --digits and --jobs, and build the iteration options."""
-    if args.digits < 1:
-        raise DynbraidError(f"--digits must be at least 1, got {args.digits}")
-    cpus = os.cpu_count() or 1
-    if not 1 <= args.jobs <= cpus:
-        raise DynbraidError(f"--jobs must be between 1 and {cpus}, got {args.jobs}")
-    ladder = (
-        tuple(int(x) for x in args.precision.split(","))
-        if args.precision
-        else DEFAULT_OPTIONS.ladder
-    )
-    return IterationOptions(
-        ladder=ladder, max_iters=args.max_iters, seed=args.seed, probe_radius=args.tol
-    )
-
-
 def _parse_vector(text: str, strands: int) -> DynnikovVector:
     text = text.strip()
     if text.startswith("{"):
         return DynnikovVector.from_json(text)
-    entries = json.loads(text)
+    entries = load_json(text, CoordinateError, "vector")
     if not isinstance(entries, list):
         raise CoordinateError(f"a vector is a JSON list or object, got {text!r}")
     return DynnikovVector.from_flat(strands, [decode_rational(x) for x in entries])
@@ -127,18 +104,21 @@ def _emit(args, obj, text_lines):
 
 
 def cmd_act(args) -> int:
-    _config(args)
     w = _one_word(args)
     v = _parse_vector(args.vector, w.strands)
     _check_finite(v, "vector")
-    out = apply_braid(v, w)
+    try:  # an exact entry beyond the float range meets a float entry
+        out = apply_braid(v, w)
+        doc = json.loads(out.to_json())
+    except OverflowError as exc:
+        raise CoordinateError(f"image (float overflow): {exc}") from None
     _check_finite(out, "image (float overflow)")
-    _emit(args, json.loads(out.to_json()), [" ".join(str(x) for x in out.flat())])
+    _emit(args, doc, [" ".join(str(x) for x in out.flat())])
     return 0
 
 
-def _matrix_record(w: BraidWord, opts: IterationOptions):
-    mats = dynnikov_matrices(w, opts)
+def _matrix_record(w: BraidWord):
+    mats = dynnikov_matrices(w)
     rec = {
         "n": w.strands,
         "word": w.render(),
@@ -157,8 +137,8 @@ def _matrix_record(w: BraidWord, opts: IterationOptions):
     return rec, lines
 
 
-def _dilatation_record(w: BraidWord, opts: IterationOptions, digits: int):
-    m = dynnikov_matrices(w, opts)[0]
+def _dilatation_record(w: BraidWord, digits: int):
+    m = dynnikov_matrices(w)[0]
     lam = m.dilatation
     if digits > 30:  # m.dilatation is bisected to 1e-30 only
         lam = dilatation(m.matrix_list(), tol=Fraction(1, 10 ** (digits + 5)))
@@ -209,20 +189,18 @@ def _report(args, words, results) -> int:
 
 
 def cmd_matrix(args) -> int:
-    return _run_batch(args, partial(_matrix_record, opts=_config(args)))
+    return _run_batch(args, _matrix_record)
 
 
 def cmd_dilatation(args) -> int:
-    op = partial(_dilatation_record, opts=_config(args), digits=args.digits)
-    return _run_batch(args, op)
+    return _run_batch(args, partial(_dilatation_record, digits=args.digits))
 
 
 def cmd_compare(args) -> int:
-    opts = _config(args)
     with open(args.transition) as fh:
         T = load_transition_matrix(fh.read())
     w = _one_word(args)
-    mats = dynnikov_matrices(w, opts)
+    mats = dynnikov_matrices(w)
     D = mats[0].matrix_list()
     report = isospectral_up_to(D, T.main_block(), args.mode)
     _emit(
@@ -238,7 +216,6 @@ def cmd_compare(args) -> int:
 
 
 def cmd_regions3(args) -> int:
-    _config(args)
     w = parse_braid(args.word, 3)
     with mpmath.workdps(args.digits + 10):  # atan2 of the exact endpoint rays
         arcs = enumerate_regions_n3(w)
@@ -262,7 +239,7 @@ def cmd_regions3(args) -> int:
 
 def _load_rational_matrix(path: str):
     with open(path) as fh:
-        doc = json.load(fh)
+        doc = load_json(fh.read(), TrackFormatError, path)
     rows = doc.get("matrix") if isinstance(doc, dict) else None
     if not (
         isinstance(rows, list)
@@ -270,7 +247,10 @@ def _load_rational_matrix(path: str):
         and all(isinstance(row, list) and len(row) == len(rows) for row in rows)
     ):
         raise TrackFormatError(f'{path}: expected {{"matrix": [...]}} with square rows')
-    return [[decode_rational(x) for x in row] for row in rows]
+    try:
+        return [[Fraction(decode_rational(x)) for x in row] for row in rows]
+    except (ValueError, OverflowError):  # a float nan or inf
+        raise TrackFormatError(f"{path}: matrix entries must be finite") from None
 
 
 # positional arguments of each track subcommand
@@ -284,13 +264,15 @@ _TRACK_ARGS = {
 
 
 def cmd_track(args) -> int:
-    _config(args)
     sub = args.track_cmd
     names = _TRACK_ARGS[sub]
     if len(args.files) != len(names.split()):
         raise DynbraidError(f"track {sub} takes {names}, got {len(args.files)} arguments")
     if (args.measure is None) == (sub == "coords"):
         raise DynbraidError("--measure is required by track coords and only by it")
+    if sub in ("pinch", "extend", "coords"):
+        with open(args.files[0]) as fh:
+            track = load_track(fh.read())
     if sub == "pf":
         with open(args.files[0]) as fh:
             T = load_transition_matrix(fh.read())
@@ -301,8 +283,6 @@ def cmd_track(args) -> int:
         }
         _emit(args, rec, [f"lambda = {rec['lambda']}", f"v = {rec['eigenvector']}"])
     elif sub == "pinch":
-        with open(args.files[0]) as fh:
-            track = load_track(fh.read())
         edge = args.files[1]
         try:
             new, _ = pinch_unpunctured(track, edge)
@@ -316,16 +296,12 @@ def cmd_track(args) -> int:
         }
         _emit(args, rec, [f"rank {new.rank} complete {new.is_complete}"])
     elif sub == "extend":
-        with open(args.files[0]) as fh:
-            track = load_track(fh.read())
         count = diagonal_extensions_count(track)
         tracks = enumerate_diagonal_extensions(track)
         rec = {"count": count, "enumerated": len(tracks)}
         _emit(args, rec, [f"{count} complete diagonal extensions"])
     elif sub == "coords":
-        with open(args.files[0]) as fh:
-            track = load_track(fh.read())
-        weights = json.loads(args.measure)
+        weights = load_json(args.measure, TrackFormatError, "--measure")
         if not isinstance(weights, dict):
             raise TrackFormatError("--measure is a JSON object from branch ids to weights")
         mu = Measure({k: decode_rational(x) for k, x in weights.items()})
@@ -355,13 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "integer matrices, dilatations and train-track spectra.",
     )
     top.add_argument("--format", choices=("text", "json"), default="text")
-    top.add_argument("--precision", help="comma-separated mantissa-bit ladder")
-    top.add_argument(
-        "--tol", type=float, default=DEFAULT_OPTIONS.probe_radius, help="probe radius"
-    )
-    top.add_argument("--seed", type=int, default=DEFAULT_OPTIONS.seed)
     top.add_argument("--digits", type=int, default=12)
-    top.add_argument("--max-iters", type=int, default=DEFAULT_OPTIONS.max_iters)
     top.add_argument("--jobs", type=int, default=1)
     subs = top.add_subparsers(dest="command", required=True)
 
@@ -409,6 +379,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.digits < 1:
+            raise DynbraidError(f"--digits must be at least 1, got {args.digits}")
+        cpus = os.cpu_count() or 1
+        if not 1 <= args.jobs <= cpus:
+            raise DynbraidError(f"--jobs must be between 1 and {cpus}, got {args.jobs}")
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
         return code

@@ -18,12 +18,23 @@ def _is_exact(x) -> bool:
     return isinstance(x, (int, Fraction))
 
 
+def load_json(text: str, error: type, what: str):
+    """The JSON document in text; a malformed one raises error naming what."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{what} is not valid JSON: {exc}") from None
+
+
 def decode_rational(x):
     """A JSON entry as a scalar: a decimal or rational string ("3", "-1/2",
     "0.25") becomes an int or a Fraction; a number is returned as it is,
     and anything else raises CoordinateError."""
     if isinstance(x, str):
-        f = Fraction(x)
+        try:
+            f = Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            raise CoordinateError(f"expected a rational string, got {x!r}") from None
         return f.numerator if f.denominator == 1 else f
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise CoordinateError(f"expected a number or a rational string, got {x!r}")
@@ -70,7 +81,7 @@ class DynnikovVector:
 
     @classmethod
     def from_json(cls, text: str) -> "DynnikovVector":
-        doc = json.loads(text)
+        doc = load_json(text, CoordinateError, "vector document")
         if not (
             isinstance(doc, dict)
             and isinstance(doc.get("n"), int)

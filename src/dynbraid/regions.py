@@ -1,25 +1,26 @@
 """Attracting directions, Dynnikov matrices, and the n=3 circle decomposition.
 
 The projectivized action of a pseudo-Anosov word has a unique attracting
-fixed direction; projective power iteration finds it on a rising precision
-ladder.  Probing a small sphere around the fixed direction with the traced
-update rules discovers every linear piece (region) meeting it; candidates are
-verified against the fixed direction and by their shared spectral radius.
+fixed direction; projective power iteration finds it.  Probing a small sphere
+around the fixed direction with the traced update rules discovers every
+linear piece (region) meeting it; candidates are verified against the fixed
+direction and by their shared spectral radius.
 
 Both the iteration and the probing run on Python integers.  The update rules
 are positively homogeneous with integer coefficients, so a direction scaled
-by 2^p and rounded to an integer vector is a fixed-point number with p
+by 2^PREC and rounded to an integer vector is a fixed-point number with PREC
 fraction bits, and acting on it is exact: no rounding inside the word, and a
 tie in a max is plain equality.  The only rounding is the renormalization
-between iterations and the one rounding of the centre before it is traced.
+between iterations; the last iterate is traced as it is, shifted left.
 
-Before the ladder, a word is checked for an exact certificate that it is not
-pseudo-Anosov: an integral lamination c (a nonzero integer vector) with
+Before the iteration, a word is checked for an exact certificate that it is
+not pseudo-Anosov: an integral lamination c (a nonzero integer vector) with
 w^p(c) = c, found on the integer orbit of (0..0, 1..1) and confirmed by exact
-application (fixed_lamination).  Only when the ladder fails, or the matrix
-it leads to has no dominant real root, are the vectors with entries in
-{-1, 0, 1} scanned for one that w fixes (_small_fixed_lamination).  Either
-certificate is reported as NonConvergence naming p and c.
+application (fixed_lamination).  The vectors with entries in {-1, 0, 1} are
+scanned for one that w fixes (_small_fixed_lamination) when a generator is
+unused after free reduction, when the iteration fails, or when the matrix it
+leads to has no dominant real root.  Either certificate is reported as
+NonConvergence naming p and c.
 
 For n = 3 the whole circle of directions is decomposed exactly.  Every wall
 is a line c.x = 0 with an integer row c, so every arc endpoint is an integer
@@ -31,9 +32,8 @@ the walls of its cone.  Angles are computed only for output.
 from __future__ import annotations
 
 import itertools
-import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import NoReturn
@@ -47,25 +47,11 @@ from .spectral import dilatation
 from .update import BranchSignature, apply_braid, traced_apply
 
 
-@dataclass(frozen=True)
-class IterationOptions:
-    """Knobs for the projective iteration and region probing."""
-
-    ladder: tuple = (53, 128, 256, 512)
-    max_iters: int = 5000
-    seed: int = 2023
-    probe_radius: float = 1e-6
-
-    def __post_init__(self):
-        if list(self.ladder) != sorted(set(self.ladder)):
-            raise ValueError("precision ladder must be strictly increasing")
-        if self.max_iters <= 0 or self.probe_radius <= 0:
-            raise ValueError("numeric options must be positive")
-        if not math.isfinite(self.probe_radius):
-            raise ValueError(f"probe radius must be finite, got {self.probe_radius}")
-
-
-DEFAULT_OPTIONS = IterationOptions()
+# fraction bits of the iterate, iteration cap, and seed of the start vector
+# (the probe directions use SEED + 1)
+PREC = 256
+MAX_ITERS = 5000
+SEED = 2023
 
 # random probe directions per coordinate, beside the 2*dim axis directions
 RANDOM_PROBES_PER_DIM = 8
@@ -73,10 +59,8 @@ RANDOM_PROBES_PER_DIM = 8
 
 @dataclass(frozen=True)
 class UnstableDirection:
-    point: DynnikovVector  # sup-normalized attracting representative (sign kept)
-    dilatation: object  # mpmath float > 1
-    iterations: int
-    precision: int
+    u: tuple  # integer iterate of sup norm 2^PREC: the direction u / 2^PREC
+    growth: int  # max|w(v)| for the iterate v before u: the dilatation times 2^PREC
 
 
 @dataclass(frozen=True)
@@ -99,7 +83,7 @@ def _seed_vector(strands: int, seed: int) -> DynnikovVector:
     return DynnikovVector(strands, a, b)
 
 
-# the orbit check gives up (and the ladder decides) after this many steps, or
+# the orbit check gives up (and the iteration decides) after this many steps, or
 # once an orbit entry needs more bits: a pA orbit grows exponentially and
 # passes the bound within a few dozen steps, a multitwist's grows linearly
 ORBIT_STEPS = 200
@@ -177,9 +161,10 @@ def _small_vectors(dim: int):
 def _small_fixed_lamination(w: BraidWord):
     """A nonzero c with entries in {-1, 0, 1} and w(c) = c, or None.
 
-    The failure-path scan: it tries up to SCAN_VECTORS such vectors, so it
-    runs only after the ladder has failed.  It catches reducible words with
-    a pseudo-Anosov piece, whose orbit grows too fast for fixed_lamination.
+    The scan tries up to SCAN_VECTORS such vectors, so it runs only on a
+    word that leaves a generator unused or that the iteration failed on.
+    It catches reducible words with a pseudo-Anosov piece, whose orbit grows
+    too fast for fixed_lamination.
     """
     vectors = itertools.islice(_small_vectors(2 * w.strands - 4), SCAN_VECTORS)
     return next((c for c in vectors if _fixes(w, 1, c)), None)
@@ -193,21 +178,36 @@ def _certify_failure(w: BraidWord, exc: DynbraidError) -> NoReturn:
     raise exc
 
 
-def find_unstable_direction(
-    w: BraidWord, opts: IterationOptions = DEFAULT_OPTIONS
-) -> UnstableDirection:
+def _uses_every_generator(w: BraidWord) -> bool:
+    """Whether every sigma_i occurs in w once adjacent sigma_i sigma_i^-1 cancel.
+
+    A word that leaves sigma_i out splits the strands at i, so the round
+    curve around the strands on one side of the split is fixed.
+    """
+    reduced = []
+    for idx, sign in w:
+        if reduced and reduced[-1] == (idx, -sign):
+            reduced.pop()
+        else:
+            reduced.append((idx, sign))
+    return len({idx for idx, _ in reduced}) == w.strands - 1
+
+
+def find_unstable_direction(w: BraidWord) -> UnstableDirection:
     """Projective power iteration toward the attracting direction of w.
 
-    At rung p of the ladder the iterate is an integer vector u of sup norm
-    2^p, that is the direction u / 2^p in fixed point with p fraction bits.
-    The action is positively homogeneous with integer coefficients, so
-    apply_braid on u is exact, and renormalizing by floor((y << p) / max|y|)
-    costs under one unit in the last place, as a p-bit float iteration does.
-    Converges when successive iterates are closer than 10^(-p/8) and the
-    growth max|y| / 2^p has changed by at most 1e-13 (relative) three times
-    running; escalates the precision ladder on failure.  A word that
-    fixed_lamination certifies as not pseudo-Anosov is rejected before the
-    ladder; when the ladder runs out, _small_fixed_lamination is tried before
+    The iterate is an integer vector u of sup norm 2^PREC, that is the
+    direction u / 2^PREC in fixed point with PREC fraction bits.  The action
+    is positively homogeneous with integer coefficients, so apply_braid on u
+    is exact, and renormalizing by floor((y << PREC) / max|y|) costs under
+    one unit in the last place.  Converges within MAX_ITERS steps when
+    successive iterates are closer than 10^(-PREC/8) and the growth max|y|
+    has changed by at most 1e-13 (relative) three times running.
+
+    A word that fixed_lamination certifies as not pseudo-Anosov is rejected
+    before the iteration, and so is a word that leaves a generator unused
+    after free reduction when _small_fixed_lamination finds its curve; when
+    the iteration does not converge, _small_fixed_lamination is tried before
     the plain NonConvergence is raised.  Either certificate raises
     NonConvergence naming the power and the fixed lamination.
     """
@@ -216,74 +216,59 @@ def find_unstable_direction(
     fixed = fixed_lamination(w)
     if fixed is not None:
         raise _not_pseudo_anosov(*fixed)
-    seed = _seed_vector(w.strands, opts.seed).flat()
+    if not _uses_every_generator(w):
+        c = _small_fixed_lamination(w)
+        if c is not None:
+            raise _not_pseudo_anosov(1, c)
+    seed = _seed_vector(w.strands, SEED).flat()
     seed_norm = max(abs(x) for x in seed)
-    total_iters = 0
-    for prec in opts.ladder:
-        tol = (1 << prec) // 10 ** (prec // 8)
-        u = [(x << prec) // seed_norm for x in seed]
-        growth = None
-        converged = False
-        stable = 0
-        for _ in range(opts.max_iters):
-            total_iters += 1
-            y = apply_braid(DynnikovVector.from_flat(w.strands, u), w).flat()
-            norm = max(abs(x) for x in y)
-            un = [(x << prec) // norm for x in y]
-            dist = min(
-                max(abs(x - z) for x, z in zip(un, u)),
-                max(abs(x + z) for x, z in zip(un, u)),
+    tol = (1 << PREC) // 10 ** (PREC // 8)
+    u = [(x << PREC) // seed_norm for x in seed]
+    growth = None
+    stable = 0
+    for _ in range(MAX_ITERS):
+        y = apply_braid(DynnikovVector.from_flat(w.strands, u), w).flat()
+        norm = max(abs(x) for x in y)
+        un = [(x << PREC) // norm for x in y]
+        dist = min(
+            max(abs(x - z) for x, z in zip(un, u)),
+            max(abs(x + z) for x, z in zip(un, u)),
+        )
+        if growth is not None and abs(norm - growth) * 10**13 <= growth:
+            stable += 1
+        else:
+            stable = 0
+        growth = norm
+        u = un
+        if dist < tol and stable >= 3:
+            break
+    else:
+        _certify_failure(
+            w,
+            NonConvergence(
+                f"no attracting direction after {MAX_ITERS} iterations at {PREC} bits"
+            ),
+        )
+    if growth * 10**6 <= (10**6 + 1) << PREC:
+        with mpmath.workprec(PREC):
+            lam = mpmath.ldexp(growth, -PREC)
+            raise NonConvergence(
+                f"growth factor {mpmath.nstr(lam, 8)} is not > 1: "
+                "word is not pseudo-Anosov at this precision"
             )
-            if growth is not None and abs(norm - growth) * 10**13 <= growth:
-                stable += 1
-            else:
-                stable = 0
-            growth = norm
-            u = un
-            if dist < tol and stable >= 3:
-                converged = True
-                break
-        if not converged:
-            continue
-        with mpmath.workprec(prec):
-            lam = mpmath.ldexp(growth, -prec)
-            if growth * 10**6 <= (10**6 + 1) << prec:
-                raise NonConvergence(
-                    f"growth factor {mpmath.nstr(lam, 8)} is not > 1: "
-                    "word is not pseudo-Anosov at this precision"
-                )
-            point = DynnikovVector.from_flat(
-                w.strands, [mpmath.ldexp(x, -prec) for x in u]
-            )
-        return UnstableDirection(point, lam, total_iters, prec)
-    _certify_failure(
-        w,
-        NonConvergence(
-            f"no attracting direction after {total_iters} iterations "
-            f"across precisions {opts.ladder}"
-        ),
-    )
+    return UnstableDirection(tuple(u), growth)
 
 
 def _normalize_row(row):
-    g = 0
-    for x in row:
-        g = gcd(g, abs(x))
-    if g > 1:
-        row = tuple(x // g for x in row)
-    return row
+    g = gcd(*row)
+    return tuple(x // g for x in row) if g > 1 else row
 
 
-def _probe_directions(dim: int, opts: IterationOptions):
-    dirs = []
-    for k in range(dim):
-        e = [0.0] * dim
-        e[k] = 1.0
-        dirs.append(tuple(e))
-        e = [0.0] * dim
-        e[k] = -1.0
-        dirs.append(tuple(e))
-    rng = random.Random(opts.seed + 1)
+def _probe_directions(dim: int):
+    """The 2*dim axis directions +-e_k, then RANDOM_PROBES_PER_DIM * dim seeded ones."""
+    axes = [(k, s) for k in range(dim) for s in (1.0, -1.0)]
+    dirs = [tuple(s if j == k else 0.0 for j in range(dim)) for k, s in axes]
+    rng = random.Random(SEED + 1)
     for _ in range(RANDOM_PROBES_PER_DIM * dim):
         dirs.append(tuple(rng.uniform(-1, 1) for _ in range(dim)))
     return dirs
@@ -301,41 +286,30 @@ def _in_interior(tr, X, R) -> bool:
     )
 
 
-def dynnikov_matrices(
-    w: BraidWord, opts: IterationOptions = DEFAULT_OPTIONS
-) -> list:
+def dynnikov_matrices(w: BraidWord) -> list:
     """All verified Dynnikov matrices of w (regions meeting the fixed direction).
 
-    The attracting direction, found on the rungs of the ladder of at least
-    256 bits, is scaled to the integer centre X = round(centre * 2^prec) at
-    twice its precision, and the probe radius to R = round(r * 2^prec).  The
-    update is positively homogeneous, so tracing an integer point is exact
-    and a tie is plain equality.  X is traced once: when every region
-    constraint c of that trace has c.X > R*|c|_1, the whole sup-ball of
-    radius R lies strictly inside X's region, so every probe would follow the
-    same branches and find the same matrix and region, which is then the only
-    candidate.  Otherwise the sphere of radius R is probed at the integer
-    points X + round(R*d), as many as ``_probe_directions`` gives.
-    Tie-free candidates are deduped by exact matrix and verified: the fixed
-    direction is an eigenvector with eigenvalue the dilatation, it lies in
-    the region's closure, and all candidates share their spectral radius,
-    which each returned matrix carries as its ``dilatation``.
-
-    Raises DynbraidError when the ladder has no rung of at least 256 bits.
+    The integer iterate u of find_unstable_direction is traced exactly as
+    the centre X = u << PREC, with 2*PREC fraction bits, and the probe radius
+    is R = round(1e-6 * 2^(2*PREC)).  The update is positively homogeneous,
+    so tracing an integer point is exact and a tie is plain equality.  X is
+    traced once: when every region constraint c of that trace has
+    c.X > R*|c|_1, the whole sup-ball of radius R lies strictly inside X's
+    region, so every probe would follow the same branches and find the same
+    matrix and region, which is then the only candidate.  Otherwise the
+    sphere of radius R is probed at the integer points X + round(R*d), as
+    many as ``_probe_directions`` gives.  Tie-free candidates are deduped by
+    exact matrix and verified in mpf at 2*PREC bits: the fixed direction is
+    an eigenvector with eigenvalue growth / 2^PREC, it lies in the region's
+    closure, and all candidates share their spectral radius, which each
+    returned matrix carries as its ``dilatation``.
     """
     # Regions can pass within ~1e-13 of the fixed direction (high-entropy words
     # with huge dilatation), so the direction must be located far more
     # accurately than the probe radius before probing.
-    ladder = tuple(p for p in opts.ladder if p >= 256)
-    if not ladder:
-        raise DynbraidError(
-            f"precision ladder {opts.ladder} has no rung of at least 256 bits, "
-            "the floor for locating the direction before probing"
-        )
-    direction = find_unstable_direction(w, replace(opts, ladder=ladder))
-    prec = 2 * direction.precision
-    X = [int(mpmath.nint(mpmath.ldexp(x, prec))) for x in direction.point.flat()]
-    R = round(Fraction(opts.probe_radius) * 2**prec)
+    direction = find_unstable_direction(w)
+    X = [x << PREC for x in direction.u]
+    R = round(Fraction(1e-6) * 2 ** (2 * PREC))
 
     def trace(point):
         return traced_apply(DynnikovVector.from_flat(w.strands, point), w)
@@ -346,18 +320,18 @@ def dynnikov_matrices(
     else:  # traced one at a time: a long word's trace is large
         traces = (
             trace([x + round(R * Fraction(t)) for x, t in zip(X, d)])
-            for d in _probe_directions(len(X), opts)
+            for d in _probe_directions(len(X))
         )
     found = {}
     for tr in traces:
         if not tr.signature.has_ties and tr.matrix not in found:
             region = tuple(sorted({_normalize_row(r) for r in tr.constraints}))
             found[tr.matrix] = (region, tr.signature)
-    with mpmath.workprec(prec):
-        centre = [mpmath.mpf(x) for x in direction.point.flat()]
+    with mpmath.workprec(2 * PREC):
+        centre = [mpmath.ldexp(x, -PREC) for x in direction.u]
         if not found:
             raise VerificationFailed("no tie-free signature found near the fixed direction")
-        lam = direction.dilatation
+        lam = mpmath.ldexp(direction.growth, -PREC)
         sup = max(abs(x) for x in centre)
         verified = []
         for key in sorted(found):
@@ -365,14 +339,11 @@ def dynnikov_matrices(
             # probes can step across a wall passing arbitrarily close to the
             # fixed direction; a candidate whose region closure misses the
             # direction is such an artifact and is dropped, not an error
-            in_closure = True
-            for row in region:
-                scale = max(abs(c) for c in row) * sup
-                value = sum(c * x for c, x in zip(row, centre))
-                if value < -mpmath.mpf("1e-25") * scale:
-                    in_closure = False
-                    break
-            if not in_closure:
+            if any(
+                sum(c * x for c, x in zip(row, centre))
+                < -mpmath.mpf("1e-25") * (max(abs(c) for c in row) * sup)
+                for row in region
+            ):
                 continue
             image = [sum(c * x for c, x in zip(row, centre)) for row in key]
             err = max(abs(y - lam * x) for x, y in zip(centre, image))

@@ -31,14 +31,13 @@ goes through one rational elimination, and products through
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
 
 import mpmath
 
-from .coords import DynnikovVector
+from .coords import DynnikovVector, load_json
 from .errors import (
     NoDominantRealRoot,
     NonConvergence,
@@ -222,7 +221,7 @@ def _parse_end(doc) -> End:
 
 def load_track(text: str) -> TrainTrack:
     """Parse and validate the train-track JSON document."""
-    doc = json.loads(text)
+    doc = load_json(text, TrackFormatError, "track document")
     try:
         switches = tuple(
             Switch(str(s["id"]), tuple(s["sideA"]), tuple(s["sideB"]))
@@ -245,18 +244,59 @@ def load_track(text: str) -> TrainTrack:
         track = TrainTrack(
             int(doc["n"]), switches, branches, polygons, doc.get("annotations")
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(inf)
         raise TrackFormatError(f"malformed track document: {exc}") from None
+    _check_annotations(track)
     return track.validate()
 
 
+def _check_annotations(track: TrainTrack) -> None:
+    """Raise TrackFormatError unless the annotations map arc names to specs.
+
+    A spec is an object: its "counts" map branch ids to ints, its "paths" are
+    lists of branch tokens ("-" before an id reverses it), and its
+    "derived_max_of" and "minus" name annotated arcs, none derived from itself.
+    """
+    ann = track.annotations
+    if ann is not None and not isinstance(ann, dict):
+        raise TrackFormatError("annotations must map arc names to specs")
+    ids = {b.id for b in track.branches}
+    derived = {}
+    for name, spec in (ann or {}).items():
+        if not isinstance(spec, dict):
+            raise TrackFormatError(f"annotation {name!r} is not an object")
+        counts, paths = spec.get("counts", {}), spec.get("paths", [])
+        if not isinstance(counts, dict) or any(
+            b not in ids or type(k) is not int for b, k in counts.items()
+        ):
+            raise TrackFormatError(f"annotation {name!r}: counts must map branch ids to ints")
+        if not isinstance(paths, list) or any(
+            not isinstance(path, list)
+            or any(not isinstance(t, str) or t.removeprefix("-") not in ids for t in path)
+            for path in paths
+        ):
+            raise TrackFormatError(f"annotation {name!r}: paths must be lists of branch tokens")
+        if "derived_max_of" in spec:
+            parts = spec["derived_max_of"]
+            arcs = [*parts, spec.get("minus")] if isinstance(parts, list) else []
+            if len(arcs) != 3 or any(not isinstance(a, str) or a not in ann for a in arcs):
+                raise TrackFormatError(f"annotation {name!r}: derived_max_of must name "
+                                       "two annotated arcs and minus one")
+            derived[name] = arcs
+    while derived:  # settle derived arcs in rounds; a round that settles none is a cycle
+        left = {name: arcs for name, arcs in derived.items() if any(a in derived for a in arcs)}
+        if len(left) == len(derived):
+            raise TrackFormatError(f"annotations derive {sorted(left)} from each other")
+        derived = left
+
+
 def load_transition_matrix(text: str) -> TransitionMatrix:
-    doc = json.loads(text)
+    doc = load_json(text, TrackFormatError, "transition matrix")
     try:
         matrix = tuple(tuple(int(x) for x in row) for row in doc["matrix"])
         m = int(doc.get("m", len(matrix)))
         perm = tuple(doc["permutation"]) if "permutation" in doc else None
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(inf)
         raise TrackFormatError(f"malformed transition matrix: {exc}") from None
     return TransitionMatrix(matrix, m, perm).validate()
 

@@ -15,7 +15,12 @@ import pytest
 
 from dynbraid.braid import BraidWord, parse_braid
 from dynbraid.coords import DynnikovVector
-from dynbraid.regions import dynnikov_matrices, enumerate_regions_n3, find_unstable_direction
+from dynbraid.regions import (
+    PREC,
+    dynnikov_matrices,
+    enumerate_regions_n3,
+    find_unstable_direction,
+)
 from dynbraid.spectral import char_poly, dilatation, isospectral_up_to
 from dynbraid.traintrack import (
     Measure,
@@ -93,10 +98,9 @@ def test_criterion_3_five_strand_example():
     assert {m.matrix for m in mats} == {D1_N5, D2_N5}
     radii = [dilatation(m.matrix_list()) for m in mats]
     assert abs(radii[0] - radii[1]) < 1e-12 * radii[0]
-    d = find_unstable_direction(w)
-    with mpmath.workprec(d.precision):
-        assert all(x <= 1e-12 for x in d.point.flat())
-        assert abs(d.point.a[1] - (d.point.a[0] + d.point.b[0])) < 1e-9
+    u = [Fraction(x, 1 << PREC) for x in find_unstable_direction(w).u]
+    assert all(x <= 1e-12 for x in u)
+    assert abs(u[1] - (u[0] + u[3])) < 1e-9
 
 
 def test_criterion_4_four_strand_word():

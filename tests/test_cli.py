@@ -351,14 +351,29 @@ def test_track_pf_digits_60_are_exact(capsys):
     assert out.splitlines()[0] == f"lambda = {expect}"
 
 
-def test_precision_below_floor_exits_2(capsys):
-    code, out, err = run(capsys, "--precision", "64", "matrix", "-n", "3", "-w", "1 -2")
-    assert code == 2
-    assert out == ""
-    assert "256 bits" in err
+@pytest.mark.parametrize("flag", ["--precision", "--tol", "--seed", "--max-iters"])
+@pytest.mark.parametrize(
+    "command", [["matrix", "-n", "3", "-w", "1 -2"], ["regions3", "-w", "1 -2"]]
+)
+def test_removed_iteration_flags_exit_2(capsys, flag, command):
+    with pytest.raises(SystemExit) as exc:
+        main([f"{flag}=1", *command])
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == ""
+    assert "unrecognized arguments" in out.err
 
 
-@pytest.mark.parametrize("vector", ["[NaN, 1]", "[1e400, 1]", "[1e308, 1e308]", '["1/0", 1]'])
+def test_help_lists_only_the_global_options(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    flags = re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.MULTILINE)
+    assert flags == ["--format", "--digits", "--jobs"]  # beside -h, --help
+
+
+@pytest.mark.parametrize(
+    "vector", ["[NaN, 1]", "[1e400, 1]", "[1e308, 1e308]", '["1/0", 1]', '["1e400", 1.0]']
+)
 def test_act_non_finite_vector_exits_2(capsys, vector):
     code, out, err = run(capsys, "act", "-n", "3", "-w", "1", "-v", vector)
     assert code == 2
@@ -449,14 +464,6 @@ def test_one_word_commands_reject_longer_braid_files(tmp_path, capsys, argv):
     assert "the braid file has 2" in err
 
 
-@pytest.mark.parametrize("tol", ["inf", "nan"])
-def test_non_finite_tol_exits_2(capsys, tol):
-    code, out, err = run(capsys, "--tol", tol, "matrix", "-n", "3", "-w", "1 -2")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: probe radius must be finite")
-
-
 @pytest.mark.parametrize(
     "argv, reason",
     [
@@ -516,3 +523,116 @@ def test_track_pf_unconverged_eigenvector_exits_3(capsys, tmp_path):
     assert code == 3
     assert out == ""
     assert "did not converge" in err
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["act", "-n", "3", "-w", "1", "-v", '["1/0", 1]'], "expected a rational string"),
+        (["act", "-n", "3", "-w", "1", "-v", '["abc", 1]'], "expected a rational string"),
+        (["act", "-n", "3", "-w", "1", "-v", "[1,"], "vector is not valid JSON"),
+        (["act", "-n", "3", "-w", "1", "-v", '{"n": 3,'], "vector document is not valid JSON"),
+        (
+            ["track", "coords", str(FIXTURES / "track_b4_complete.json"), "--measure", "{"],
+            "--measure is not valid JSON",
+        ),
+    ],
+)
+def test_malformed_input_raises_typed_errors(capsys, argv, reason):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {reason}")
+
+
+def test_malformed_json_files_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"matrix": [[1, 2], ')
+    good = str(FIXTURES / "mat_gamma_L1.json")
+    for argv in (["pf", str(bad)], ["extend", str(bad)], ["conjugacy", str(bad), good, good]):
+        code, out, err = run(capsys, "track", *argv)
+        assert code == 2 and out == ""
+        assert "is not valid JSON" in err
+    bad.write_text('{"matrix": [[NaN]]}')
+    code, out, err = run(capsys, "track", "conjugacy", str(bad), str(bad), str(bad))
+    assert code == 2 and out == ""
+    assert "matrix entries must be finite" in err
+
+
+def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
+    import dynbraid.cli as cli
+
+    def broken(w):
+        raise ValueError("a defect, not bad input")
+
+    monkeypatch.setattr(cli, "dynnikov_matrices", broken)
+    with pytest.raises(ValueError, match="a defect"):
+        main(["matrix", "-n", "3", "-w", "1 -2"])
+
+
+@pytest.mark.parametrize(
+    "n, word, curve",
+    [
+        (4, "1 -2", "(0, 0, 0, 1)"),
+        (6, "-3 1 -1 3 -4 -2 1 1 5 1", "(0, 0, 0, 0, 0, 1, 0, 0)"),
+        (6, "5 2 2 -3 -4 4 3 -1 5 -3 1 5", "(0, 0, 0, 0, -1, 0, 0, 0)"),
+    ],
+)
+def test_unused_generator_exits_3(capsys, n, word, curve):
+    code, out, err = run(capsys, "dilatation", "-n", str(n), "-w", word)
+    assert code == 3
+    assert out == ""
+    assert err == (
+        f"error: power 1 of the word fixes the integral lamination {curve}: "
+        "word is not pseudo-Anosov\n"
+    )
+
+
+def _coords_with_annotations(tmp_path, capsys, edit):
+    doc = json.loads((FIXTURES / "track_b4_complete.json").read_text())
+    edit(doc["annotations"])
+    path = tmp_path / "track.json"
+    path.write_text(json.dumps(doc))
+    measure = json.dumps(COORDS_MEASURE)
+    return run(capsys, "track", "coords", str(path), "--measure", measure)
+
+
+@pytest.mark.parametrize(
+    "edit, reason",
+    [
+        (lambda ann: ann.update(alpha_1="x"), "annotation 'alpha_1' is not an object"),
+        (lambda ann: ann["beta_1"].update(counts=["a", 1]), "counts must map branch ids to ints"),
+        (lambda ann: ann["beta_1"].update(counts={"a": 1.5}), "counts must map branch ids to ints"),
+        (lambda ann: ann["beta_1"].update(counts={"zz": 1}), "counts must map branch ids to ints"),
+        (lambda ann: ann["alpha_2"].update(paths=["-m2 b m6"]), "paths must be lists of branch"),
+        (lambda ann: ann["alpha_2"].update(paths=[["-m2", 7]]), "paths must be lists of branch"),
+        (
+            lambda ann: ann.update(
+                alpha_1={"derived_max_of": ["alpha_1", "alpha_2"], "minus": "alpha_3"}
+            ),
+            "annotations derive ['alpha_1'] from each other",
+        ),
+        (
+            lambda ann: ann.update(
+                alpha_1={"derived_max_of": ["alpha_2", "beta_1"], "minus": "beta_2"},
+                alpha_2={"derived_max_of": ["beta_1", "alpha_1"], "minus": "beta_2"},
+            ),
+            "annotations derive ['alpha_1', 'alpha_2'] from each other",
+        ),
+        (
+            lambda ann: ann.update(
+                alpha_1={"derived_max_of": ["beta_1", "gamma"], "minus": "beta_2"}
+            ),
+            "derived_max_of must name two annotated arcs",
+        ),
+        (
+            lambda ann: ann.update(alpha_1={"derived_max_of": ["beta_1", "beta_2"]}),
+            "derived_max_of must name two annotated arcs",
+        ),
+    ],
+)
+def test_track_coords_rejects_malformed_annotations(tmp_path, capsys, edit, reason):
+    code, out, err = _coords_with_annotations(tmp_path, capsys, edit)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and reason in err

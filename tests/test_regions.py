@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import mpmath
@@ -7,11 +8,10 @@ import pytest
 
 from dynbraid.braid import identity_word, inverse, parse_braid
 from dynbraid.coords import DynnikovVector
-from dynbraid.errors import DynbraidError, NonConvergence
+from dynbraid.errors import NonConvergence
 import dynbraid.regions as regions
 from dynbraid.regions import (
-    DEFAULT_OPTIONS,
-    IterationOptions,
+    PREC,
     _in_interior,
     _probe_directions,
     dynnikov_matrices,
@@ -79,59 +79,59 @@ ACCEPTANCE_WORDS = (
 
 PERIODIC_WORDS = (("1 2 3 4", 5), ("1 2", 3), ("1 2 3 1", 4), ("-2 1 2 3 2", 4))
 
-FAST_OPTS = IterationOptions(ladder=(53, 128), max_iters=400)
 
+def _direction(w):
+    """find_unstable_direction(w) as mpf: the direction u / 2^PREC and growth / 2^PREC.
 
-def test_options_validation():
-    with pytest.raises(ValueError):
-        IterationOptions(ladder=(128, 53))
-    with pytest.raises(ValueError):
-        IterationOptions(max_iters=0)
-    with pytest.raises(ValueError):
-        IterationOptions(probe_radius=0.0)
+    Call it inside mpmath.workprec(2 * PREC), where both are exact.
+    """
+    d = find_unstable_direction(w)
+    return [mpmath.ldexp(x, -PREC) for x in d.u], mpmath.ldexp(d.growth, -PREC)
 
 
 def test_unstable_direction_golden():
     w = parse_braid("1 -2", 3)
     d = find_unstable_direction(w)
-    with mpmath.workprec(d.precision):
+    assert max(abs(x) for x in d.u) == 1 << PREC
+    with mpmath.workprec(2 * PREC):
+        (a, b), lam = _direction(w)
         expect = (3 + mpmath.sqrt(5)) / 2
-        assert abs(d.dilatation - expect) < 1e-12
+        assert abs(lam - expect) < 1e-12
         # attracting direction is -(1, (sqrt 5 - 1) / 2) up to positive scale
-        a, b = d.point.a[0], d.point.b[0]
         assert a < 0 and b < 0
         assert abs(b / a - (mpmath.sqrt(5) - 1) / 2) < 1e-10
 
 
 def test_unstable_direction_is_fixed_by_action():
     w = parse_braid("1 -2", 3)
-    d = find_unstable_direction(w)
-    with mpmath.workprec(d.precision):
-        image, point = apply_braid(d.point, w).flat(), d.point.flat()
-        ni, npt = max(map(abs, image)), max(map(abs, point))
-        assert max(abs(x / ni - y / npt) for x, y in zip(image, point)) < 1e-12
+    u = find_unstable_direction(w).u
+    image = apply_braid(DynnikovVector.from_flat(3, u), w).flat()
+    with mpmath.workprec(2 * PREC):
+        ni, npt = max(map(abs, image)), max(map(abs, u))
+        err = max(abs(mpmath.mpf(x) / ni - mpmath.mpf(y) / npt) for x, y in zip(image, u))
+        assert err < 1e-12
 
 
 def test_stable_direction():
     # for this word the contracting direction is the antipode of the
     # expanding one: same line, opposite sign on the circle of directions
     w = parse_braid("1 -2", 3)
-    s = find_unstable_direction(inverse(w))
-    u = find_unstable_direction(w)
-    with mpmath.workprec(min(s.precision, u.precision)):
-        assert abs(s.dilatation - u.dilatation) < 1e-10  # same stretch factor
-        assert all(x > 0 for x in s.point.flat())
-        assert all(x < 0 for x in u.point.flat())
+    with mpmath.workprec(2 * PREC):
+        s, s_lam = _direction(inverse(w))
+        u, u_lam = _direction(w)
+        assert abs(s_lam - u_lam) < 1e-10  # same stretch factor
+        assert all(x > 0 for x in s)
+        assert all(x < 0 for x in u)
 
 
 def test_identity_word_has_no_direction():
     with pytest.raises(NonConvergence):
-        find_unstable_direction(identity_word(3), FAST_OPTS)
+        find_unstable_direction(identity_word(3))
 
 
 def test_non_pseudo_anosov_raises():
     with pytest.raises(NonConvergence):
-        find_unstable_direction(parse_braid("1", 3), FAST_OPTS)
+        find_unstable_direction(parse_braid("1", 3))
 
 
 def test_dynnikov_matrices_golden_n3():
@@ -150,12 +150,10 @@ def test_dynnikov_matrices_two_regions_n5():
 
 def test_fixed_direction_on_wall_n5():
     w = parse_braid("1 2 3 -4", 5)
-    d = find_unstable_direction(w)
-    with mpmath.workprec(d.precision):
-        flat = d.point.flat()
+    with mpmath.workprec(2 * PREC):
+        flat, _ = _direction(w)
         assert all(x <= 1e-12 for x in flat)
-        a1, a2 = d.point.a[0], d.point.a[1]
-        b1 = d.point.b[0]
+        a1, a2, _, b1, _, _ = flat
         assert abs(a2 - (a1 + b1)) < 1e-9
 
 
@@ -163,8 +161,8 @@ def test_region_matrices_reproduce_action_exactly():
     """Exact rational points inside each returned region map by its matrix."""
     w = parse_braid("1 2 3 -4", 5)
     mats = dynnikov_matrices(w)
-    d = find_unstable_direction(w)
-    centre = [Fraction(str(round(float(x), 9))) for x in d.point.flat()]
+    u = find_unstable_direction(w).u
+    centre = [Fraction(round(Fraction(x, 1 << PREC), 9)) for x in u]
     rng = random.Random(83)
     for m in mats:
         hits = 0
@@ -209,16 +207,14 @@ def _exact(x):
     return -value if sign else value
 
 
-def _reference_matrices(w, opts=DEFAULT_OPTIONS):
+def _reference_matrices(w):
     """Trace every probe direction at the mpf centre, keep regions whose closure
     holds the centre: the probing that the single integer trace replaces."""
-    ladder = tuple(p for p in opts.ladder if p >= 256)
-    d = find_unstable_direction(w, IterationOptions(ladder=ladder))
     found = {}
-    with mpmath.workprec(2 * d.precision):
-        centre = [mpmath.mpf(x) for x in d.point.flat()]
-        delta = mpmath.mpf(opts.probe_radius)
-        for dirn in _probe_directions(len(centre), opts):
+    with mpmath.workprec(2 * PREC):
+        centre, _ = _direction(w)
+        delta = mpmath.mpf(1e-6)
+        for dirn in _probe_directions(len(centre)):
             flat = [_exact(c + delta * x) for c, x in zip(centre, dirn)]
             tr = traced_apply(DynnikovVector.from_flat(w.strands, flat), w)
             if not tr.signature.has_ties and tr.matrix not in found:
@@ -263,7 +259,7 @@ def test_single_trace_matches_full_probing(monkeypatch):
 def test_two_region_word_takes_slow_path(monkeypatch):
     calls = _counting_traces(monkeypatch)
     mats = dynnikov_matrices(parse_braid("1 2 3 -4", 5))
-    assert len(calls) == 1 + len(_probe_directions(6, DEFAULT_OPTIONS))
+    assert len(calls) == 1 + len(_probe_directions(6))
     assert {m.matrix for m in mats} == {D1_N5, D2_N5}
 
 
@@ -339,8 +335,9 @@ def test_certificate_is_confirmed_before_it_is_returned(monkeypatch):
 def test_failure_scan_is_bounded(monkeypatch):
     # a pA word on 9 strands: {-1, 0, 1}^14 has 4.8 million vectors
     w = parse_braid("1 -2 3 -4 5 -6 7 -8", 9)
-    with pytest.raises(NonConvergence, match="no attracting direction"):
-        find_unstable_direction(w, IterationOptions(max_iters=1))
+    monkeypatch.setattr(regions, "MAX_ITERS", 1)
+    with pytest.raises(NonConvergence, match="no attracting direction after 1 iterations"):
+        find_unstable_direction(w)
     calls = []
     plain = regions._fixes
     monkeypatch.setattr(regions, "_fixes", lambda w, p, c: calls.append(c) or plain(w, p, c))
@@ -348,9 +345,48 @@ def test_failure_scan_is_bounded(monkeypatch):
     assert len(set(calls)) == len(calls) == regions.SCAN_VECTORS
 
 
-def test_precision_floor():
-    with pytest.raises(DynbraidError, match="256 bits"):
-        dynnikov_matrices(parse_braid("1 -2", 3), FAST_OPTS)
+def test_centre_is_the_exact_iterate(monkeypatch):
+    # the centre once went through a 53-bit float: ties in its trace, and
+    # entries with hundreds of trailing zero bits
+    w = parse_braid("-3 -3 -2 1 1 1 3 -1 3", 4)
+    points = []
+    plain = regions.traced_apply
+
+    def recording(v, word):
+        points.append(v.flat())
+        return plain(v, word)
+
+    monkeypatch.setattr(regions, "traced_apply", recording)
+    dynnikov_matrices(w)
+    centre = tuple(x << PREC for x in find_unstable_direction(w).u)
+    assert points[0] == centre
+    assert not plain(DynnikovVector.from_flat(4, centre), w).signature.has_ties
+
+
+@pytest.mark.parametrize(
+    "n, word, curve",
+    [
+        (4, "1 -2", (0, 0, 0, 1)),
+        (6, "-3 1 -1 3 -4 -2 1 1 5 1", (0, 0, 0, 0, 0, 1, 0, 0)),
+        (6, "5 2 2 -3 -4 4 3 -1 5 -3 1 5", (0, 0, 0, 0, -1, 0, 0, 0)),
+    ],
+)
+def test_unused_generator_is_refused(n, word, curve):
+    # each word converges to a direction, but leaves a generator unused once
+    # sigma_i sigma_i^-1 cancel: a round curve is fixed
+    w = parse_braid(word, n)
+    assert not regions._uses_every_generator(w)
+    message = f"power 1 of the word fixes the integral lamination {curve}"
+    with pytest.raises(NonConvergence, match=re.escape(message)):
+        find_unstable_direction(w)
+
+
+def test_free_reduction_cancels_adjacent_inverses():
+    assert regions._uses_every_generator(parse_braid("1 2 -2 2", 3))
+    assert not regions._uses_every_generator(parse_braid("1 2 -2", 3))
+    assert not regions._uses_every_generator(parse_braid("1 2 3 -3 -2 2", 4))
+    # every generator of the 5-strand ROADMAP word survives: it is still answered
+    assert regions._uses_every_generator(parse_braid("-1 -1 3 -3 3 -4 2 3 -2 -1 -1 4", 5))
 
 
 # ---------------------------------------------------------------------------

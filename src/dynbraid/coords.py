@@ -1,42 +1,78 @@
 """Points of the coordinate space S_n = R^{2n-4} \\ {0} and their JSON form.
 
-A point is a pair of lists (a_1..a_{n-2}, b_1..b_{n-2}).  Scalars may be exact
-(int / Fraction), arbitrary-precision binary floats (mpmath.mpf) or machine
-floats; operations are generic over the scalar kind.
+A point is a pair of lists (a_1..a_{n-2}, b_1..b_{n-2}) of exact scalars (int
+/ Fraction): ``load_json`` decodes every JSON number exactly, at the one
+boundary where input enters, and the update rules keep the scalars exact.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import CoordinateError
 
-def _is_exact(x) -> bool:
-    return isinstance(x, (int, Fraction))
+# the digits json allows in an int literal, and so in any decoded number
+MAX_DIGITS = 4300
+
+# a sign, then a decimal (integer digits, fraction digits, exponent) or a fraction
+_NUMBER = re.compile(r"([-+]?)(?:(\d*)(?:\.(\d*))?(?:[eE]([-+]?\d+))?|(\d+)/(0*[1-9]\d*))")
+
+
+def exact_number(text: str):
+    """The exact value of a decimal ("-2", "0.25", "1e3") or a fraction
+    ("-1/2"): an int when it is one, else a Fraction.
+
+    ValueError when text is neither, or when its digits as written (without
+    leading zeros) and its exponent would make a numerator or a denominator
+    of more than MAX_DIGITS digits; that is checked before anything is built.
+    """
+    m = _NUMBER.fullmatch(text)
+    if m is None or not (m[2] or m[3] or m[5]):
+        raise ValueError(f"expected a decimal or a fraction, got {text[:40]!r}")
+    if m[5]:
+        num, den, exp = m[5], m[6], 0
+    else:
+        num, den, exp = m[2] + (m[3] or ""), "1", int(m[4] or 0) - len(m[3] or "")
+    num, den = num.lstrip("0") or "0", den.lstrip("0")
+    if len(num) + max(exp, 0) > MAX_DIGITS or len(den) + max(-exp, 0) > MAX_DIGITS:
+        raise ValueError(f"{text[:40]!r} has more than {MAX_DIGITS} digits")
+    x = Fraction(int(m[1] + num) * 10 ** max(exp, 0), int(den) * 10 ** max(-exp, 0))
+    return x.numerator if x.denominator == 1 else x
 
 
 def load_json(text: str, error: type, what: str):
-    """The JSON document in text; a malformed one raises error naming what."""
+    """The JSON document in text with every number exact (exact_number);
+    a malformed one, NaN or Infinity raises error naming what."""
     try:
-        return json.loads(text)
+        return json.loads(text, parse_float=exact_number, parse_constant=exact_number)
     except (ValueError, RecursionError) as exc:
         raise error(f"{what} is not valid JSON: {exc}") from None
 
 
+def json_int(x, what: str) -> int:
+    """x when it is an integer (a bool is not); TypeError naming what otherwise,
+    for the loader to report as a malformed document."""
+    if type(x) is not int:
+        raise TypeError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 def decode_rational(x):
     """A JSON entry as a scalar: a decimal or rational string ("3", "-1/2",
-    "0.25") becomes an int or a Fraction; a number is returned as it is,
-    and anything else raises CoordinateError."""
+    "0.25") is read by exact_number, an int or a Fraction is returned as it
+    is, and anything else raises CoordinateError."""
     if isinstance(x, str):
         try:
-            f = Fraction(x)
-        except (ValueError, ZeroDivisionError):
-            raise CoordinateError(f"expected a rational string, got {x!r}") from None
-        return f.numerator if f.denominator == 1 else f
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
+            return exact_number(x)
+        except ValueError:
+            raise CoordinateError(
+                f"expected a rational string of at most {MAX_DIGITS} digits, got {x[:40]!r}"
+            ) from None
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
         raise CoordinateError(f"expected a number or a rational string, got {x!r}")
     return x
 
@@ -68,14 +104,9 @@ class DynnikovVector:
             raise CoordinateError(f"expected {2 * m} entries, got {len(entries)}")
         return cls(strands, tuple(entries[:m]), tuple(entries[m:]))
 
-    def is_exact(self) -> bool:
-        return all(_is_exact(x) for x in self.flat())
-
     def to_json(self) -> str:
-        if self.is_exact():
-            enc = [str(Fraction(x)) for x in self.flat()]
-        else:
-            enc = [float(x) for x in self.flat()]
+        """The exact entries as rational strings."""
+        enc = [str(x) for x in self.flat()]
         m = self.strands - 2
         return json.dumps({"n": self.strands, "a": enc[:m], "b": enc[m:]})
 
@@ -84,7 +115,7 @@ class DynnikovVector:
         doc = load_json(text, CoordinateError, "vector document")
         if not (
             isinstance(doc, dict)
-            and isinstance(doc.get("n"), int)
+            and type(doc.get("n")) is int
             and isinstance(doc.get("a"), list)
             and isinstance(doc.get("b"), list)
         ):

@@ -68,7 +68,7 @@ class DynnikovMatrix:
     matrix: tuple  # integer rows
     region: tuple  # integer rows c, region closure is {x : c.x >= 0}
     signature: BranchSignature
-    dilatation: object  # certified spectral radius, mpmath float > 1
+    dilatation: object  # certified spectral radius > 1, an mpmath mpf
 
     def matrix_list(self) -> list:
         return [list(r) for r in self.matrix]

@@ -9,7 +9,7 @@ it.  A float Newton step only seeds a dyadic bracket; the signs that bisect
 it and the Schur-Cohn root counts that prove its root real, simple and
 strictly dominant are all computed on integers, so no float margin decides.
 "Isospectral up to ..." comparisons are decided on exact integer polynomials
-after stripping the designated trivial factors, never on floating spectra.
+after stripping the designated trivial factors, never on approximate roots.
 """
 
 from __future__ import annotations

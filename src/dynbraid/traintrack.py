@@ -33,11 +33,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from graphlib import CycleError, TopologicalSorter
 from math import comb, prod
 
 import mpmath
 
-from .coords import DynnikovVector, load_json
+from .coords import DynnikovVector, json_int, load_json
 from .errors import (
     NoDominantRealRoot,
     NonConvergence,
@@ -139,11 +140,12 @@ class TrainTrack:
                     raise TrackFormatError("punctured polygon needs >= 1 vertex")
             elif p.vertices < 3:
                 raise TrackFormatError("unpunctured polygon needs >= 3 vertices")
-            if p.edges is not None and len(p.edges) != p.vertices:
-                raise TrackFormatError("polygon edge list length != vertex count")
             for e in p.edges or ():
                 if not isinstance(e, str) or e not in branch_ids:
                     raise TrackFormatError(f"polygon edge {e!r} is not a branch")
+            if p.edges is not None and not len(set(p.edges)) == len(p.edges) == p.vertices:
+                raise TrackFormatError(f"a polygon with {p.vertices} vertices needs as many "
+                                       f"edges, none repeated, got {list(p.edges)}")
         return self
 
 
@@ -216,7 +218,7 @@ class TransitionMatrix:
 
 
 def _parse_end(doc) -> End:
-    return End(str(doc["switch"]), str(doc["side"]), int(doc["pos"]))
+    return End(str(doc["switch"]), str(doc["side"]), json_int(doc["pos"], "pos"))
 
 
 def load_track(text: str) -> TrainTrack:
@@ -236,15 +238,16 @@ def load_track(text: str) -> TrainTrack:
         polygons = tuple(
             Polygon(
                 bool(p["punctured"]),
-                int(p["vertices"]),
+                json_int(p["vertices"], "vertices"),
                 tuple(p["edges"]) if "edges" in p else None,
             )
             for p in doc["polygons"]
         )
         track = TrainTrack(
-            int(doc["n"]), switches, branches, polygons, doc.get("annotations")
+            json_int(doc["n"], "n"), switches, branches, polygons,
+            doc.get("annotations"),
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(inf)
+    except (KeyError, TypeError) as exc:
         raise TrackFormatError(f"malformed track document: {exc}") from None
     _check_annotations(track)
     return track.validate()
@@ -255,13 +258,13 @@ def _check_annotations(track: TrainTrack) -> None:
 
     A spec is an object: its "counts" map branch ids to ints, its "paths" are
     lists of branch tokens ("-" before an id reverses it), and its
-    "derived_max_of" and "minus" name annotated arcs, none derived from itself.
+    "derived_max_of" and "minus" name annotated arcs, none derived from itself
+    (_arc_order settles them).
     """
     ann = track.annotations
     if ann is not None and not isinstance(ann, dict):
         raise TrackFormatError("annotations must map arc names to specs")
     ids = {b.id for b in track.branches}
-    derived = {}
     for name, spec in (ann or {}).items():
         if not isinstance(spec, dict):
             raise TrackFormatError(f"annotation {name!r} is not an object")
@@ -282,21 +285,39 @@ def _check_annotations(track: TrainTrack) -> None:
             if len(arcs) != 3 or any(not isinstance(a, str) or a not in ann for a in arcs):
                 raise TrackFormatError(f"annotation {name!r}: derived_max_of must name "
                                        "two annotated arcs and minus one")
-            derived[name] = arcs
-    while derived:  # settle derived arcs in rounds; a round that settles none is a cycle
-        left = {name: arcs for name, arcs in derived.items() if any(a in derived for a in arcs)}
-        if len(left) == len(derived):
-            raise TrackFormatError(f"annotations derive {sorted(left)} from each other")
-        derived = left
+    _arc_order(ann, [name for name, spec in (ann or {}).items() if "derived_max_of" in spec])
+
+
+def _arc_order(ann: dict, names) -> list:
+    """The annotated arcs that names need, each after the arcs it is derived from.
+
+    TrackFormatError when one of them has no annotation or when derivations
+    form a cycle.
+    """
+    graph, todo = {}, list(names)[::-1]
+    while todo:
+        name = todo.pop()
+        if name not in ann:
+            raise TrackFormatError(f"no annotation for arc {name!r}")
+        spec = ann[name]
+        graph[name] = (*spec["derived_max_of"], spec["minus"]) if "derived_max_of" in spec else ()
+        todo += [a for a in graph[name] if a not in graph]
+    try:
+        return list(TopologicalSorter(graph).static_order())
+    except CycleError as exc:
+        cycle = sorted(set(exc.args[1]))
+        raise TrackFormatError(f"annotations derive {cycle} from each other") from None
 
 
 def load_transition_matrix(text: str) -> TransitionMatrix:
     doc = load_json(text, TrackFormatError, "transition matrix")
     try:
-        matrix = tuple(tuple(int(x) for x in row) for row in doc["matrix"])
-        m = int(doc.get("m", len(matrix)))
-        perm = tuple(doc["permutation"]) if "permutation" in doc else None
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(inf)
+        matrix = tuple(tuple(json_int(x, "a matrix entry") for x in row) for row in doc["matrix"])
+        m = json_int(doc.get("m", len(matrix)), "m")
+        perm = None
+        if "permutation" in doc:
+            perm = tuple(json_int(x, "a permutation entry") for x in doc["permutation"])
+    except (KeyError, TypeError) as exc:
         raise TrackFormatError(f"malformed transition matrix: {exc}") from None
     return TransitionMatrix(matrix, m, perm).validate()
 
@@ -447,8 +468,6 @@ def pinch_unpunctured(track: TrainTrack, edge: str):
     i = poly.edges.index(edge)
     prev_e = poly.edges[(i - 1) % t]
     next_e = poly.edges[(i + 1) % t]
-    if prev_e == edge or next_e == edge or prev_e == next_e:
-        raise TrackFormatError("pinching needs three distinct consecutive edges")
     prev_new = sg.fresh(f"{prev_e}'")
     next_new = sg.fresh(f"{next_e}'")
     # move one end of each neighbor to a new switch; the split-off stub takes
@@ -664,31 +683,12 @@ def _arc_names(strands: int):
 
 
 def _parse_path_tokens(tokens) -> TrainPath:
-    steps = []
-    for tok in tokens:
-        tok = str(tok)
-        if tok.startswith("-"):
-            steps.append((tok[1:], -1))
-        else:
-            steps.append((tok, 1))
-    return TrainPath(tuple(steps))
+    return TrainPath(tuple((t[1:], -1) if t.startswith("-") else (t, 1) for t in tokens))
 
 
-def _arc_measure_generic(track, ann, name, mu, mn, mx, zero):
-    """Arc measure: sum of n_i mu(e_i) minus twice each minimal path measure."""
-    spec = ann.get(name)
-    if spec is None:
-        raise TrackFormatError(f"no annotation for arc {name!r}")
-    if "derived_max_of" in spec:
-        left, right = spec["derived_max_of"]
-        other = spec["minus"]
-        return (
-            mx(
-                _arc_measure_generic(track, ann, left, mu, mn, mx, zero),
-                _arc_measure_generic(track, ann, right, mu, mn, mx, zero),
-            )
-            - _arc_measure_generic(track, ann, other, mu, mn, mx, zero)
-        )
+def _arc_measure_generic(track, spec, mu, mn, mx, zero):
+    """Measure of an arc given by counts and paths: sum of n_i mu(e_i) minus
+    twice each minimal path measure."""
     total = zero
     for bid, count in spec.get("counts", {}).items():
         total = total + count * mu[bid]
@@ -698,39 +698,40 @@ def _arc_measure_generic(track, ann, name, mu, mn, mx, zero):
     return total
 
 
-def _change_of_coords_generic(track, mu, mn, mx, zero, half):
-    ann = track.annotations
-    if not ann:
-        raise TrackFormatError("track has no arc annotations")
+def _change_of_coords_generic(track, mu, mn, mx, zero):
+    """Measures of the Dynnikov arcs, each arc once and a derived one after
+    its parts (_arc_order); then the halved differences."""
+    ann = track.annotations or {}
     alphas, betas = _arc_names(track.strands)
-    alpha = [_arc_measure_generic(track, ann, n, mu, mn, mx, zero) for n in alphas]
-    beta = [_arc_measure_generic(track, ann, n, mu, mn, mx, zero) for n in betas]
-    a = tuple(half(alpha[2 * i + 1] - alpha[2 * i]) for i in range(len(alpha) // 2))
-    b = tuple(half(beta[i] - beta[i + 1]) for i in range(len(beta) - 1))
+    arc = {}
+    for name in _arc_order(ann, alphas + betas):
+        spec = ann[name]
+        if "derived_max_of" in spec:
+            left, right = spec["derived_max_of"]
+            arc[name] = mx(arc[left], arc[right]) - arc[spec["minus"]]
+        else:
+            arc[name] = _arc_measure_generic(track, spec, mu, mn, mx, zero)
+    alpha, beta = [arc[n] for n in alphas], [arc[n] for n in betas]
+    half = Fraction(1, 2)
+    a = tuple(half * (alpha[2 * i + 1] - alpha[2 * i]) for i in range(len(alpha) // 2))
+    b = tuple(half * (beta[i] - beta[i + 1]) for i in range(len(beta) - 1))
     return a, b
 
 
 def change_of_coords(track: TrainTrack, mu: Measure) -> DynnikovVector:
     """Measures of all Dynnikov arcs, then halved differences.
 
-    mu must be a measure: every weight nonnegative and every switch balanced,
-    checked exactly (a float at its binary value); TrackFormatError otherwise.
+    mu must be a measure with exact weights: every weight nonnegative and
+    every switch balanced; TrackFormatError otherwise.
     """
-    try:
-        exact = {b.id: Fraction(mu[b.id]) for b in track.branches}
-    except (ValueError, OverflowError):
-        raise TrackFormatError("measure weights must be finite numbers") from None
-    for bid, w in exact.items():
-        if w < 0:
-            raise TrackFormatError(f"measure gives branch {bid!r} the negative weight {w}")
+    for b in track.branches:
+        if mu[b.id] < 0:
+            raise TrackFormatError(f"measure gives branch {b.id!r} the negative weight {mu[b.id]}")
     for s in track.switches:
-        if sum(exact[b] for b in s.sideA) != sum(exact[b] for b in s.sideB):
+        if sum(mu[b] for b in s.sideA) != sum(mu[b] for b in s.sideB):
             raise TrackFormatError(f"measure violates the switch condition at {s.id!r}")
 
-    def half(x):
-        return x / 2 if not isinstance(x, int) else Fraction(x, 2)
-
-    a, b = _change_of_coords_generic(track, mu, min, max, 0, half)
+    a, b = _change_of_coords_generic(track, mu, min, max, 0)
     return DynnikovVector(track.strands, a, b)
 
 
@@ -787,14 +788,12 @@ def linearize_change_of_coords(track: TrainTrack, mu0: Measure):
     dim = len(main)
     zero = Jet(0, (0,) * dim)
     jets = {
-        bid: Jet(Fraction(mu0[bid]), tuple(int(k == i) for k in range(dim)))
+        bid: Jet(mu0[bid], tuple(int(k == i) for k in range(dim)))
         for i, bid in enumerate(main)
     }
     jets.update(_solve_infinitesimals(track, jets, mu0, zero))
     rec = Recorder()
-    a, b = _change_of_coords_generic(
-        track, Measure(jets), rec.mn, rec.mx, zero, lambda j: j / 2
-    )
+    a, b = _change_of_coords_generic(track, Measure(jets), rec.mn, rec.mx, zero)
     if any(rec.ties):
         raise TieAtBasepoint("basepoint lies on a linearity wall")
     return [list(j.row) for j in a + b]
@@ -802,10 +801,6 @@ def linearize_change_of_coords(track: TrainTrack, mu0: Measure):
 
 # ---------------------------------------------------------------------------
 # conjugacy verification and completion solving
-
-
-def _frac_matrix(M):
-    return [[Fraction(x) for x in row] for row in M]
 
 
 def _solve_frac(A, B):
@@ -840,7 +835,6 @@ def _mat_inv_frac(M):
 
 def verify_conjugacy(D, L, Tp) -> bool:
     """True iff D.L = L.Tp exactly in rational arithmetic (L invertible)."""
-    D, L, Tp = _frac_matrix(D), _frac_matrix(L), _frac_matrix(Tp)
     if not (len(D) == len(L) == len(Tp)):
         raise VerificationFailed("dimension mismatch")
     _mat_inv_frac(L)  # singular L is an error, not a False verdict
@@ -853,13 +847,9 @@ def solve_completion(D, L, main_count: int):
     Computes L^-1 D L exactly, checks the regular block form (zero upper
     right, permutation lower right), and returns (Tp, completion block A).
     """
-    Df, Lf = _frac_matrix(D), _frac_matrix(L)
-    M = mat_mul(mat_mul(_mat_inv_frac(Lf), Df), Lf)
-    n = len(M)
-    for row in M:
-        for x in row:
-            if x.denominator != 1:
-                raise VerificationFailed("conjugated matrix is not integral")
+    M = mat_mul(mat_mul(_mat_inv_frac(L), D), L)
+    if any(x.denominator != 1 for row in M for x in row):
+        raise VerificationFailed("conjugated matrix is not integral")
     Mi = [[int(x) for x in row] for row in M]
     TransitionMatrix(tuple(tuple(r) for r in Mi), main_count).validate()
     A = [row[:main_count] for row in Mi[main_count:]]

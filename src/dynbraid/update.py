@@ -21,11 +21,10 @@ Only the coordinates with index in {i-1, i} are touched by sigma_i^{+-1}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .braid import BraidWord
 from .coords import DynnikovVector
-from .errors import BraidFormatError, CoordinateError
+from .errors import BraidFormatError
 
 # ---------------------------------------------------------------------------
 # generic one-letter engine
@@ -93,9 +92,7 @@ def apply_generator(v: DynnikovVector, i: int, sign: int) -> DynnikovVector:
 def apply_braid(v: DynnikovVector, w: BraidWord) -> DynnikovVector:
     """Left fold of apply_generator over the letters, leftmost letter first."""
     if v.strands != w.strands:
-        raise BraidFormatError(
-            f"strand mismatch: vector has {v.strands}, word has {w.strands}"
-        )
+        raise BraidFormatError(f"strand mismatch: vector has {v.strands}, word has {w.strands}")
     a, b = list(v.a), list(v.b)
     for idx, sign in w:
         _apply_letter(a, b, idx, sign, max, 0)
@@ -134,10 +131,6 @@ class Jet:
 
     def __rmul__(self, c):
         return Jet(c * self.val, tuple(c * x for x in self.row))
-
-    def __truediv__(self, c):
-        f = Fraction(1, c)
-        return Jet(self.val * f, tuple(x * f for x in self.row))
 
 
 class Recorder:
@@ -202,30 +195,19 @@ def traced_apply(v: DynnikovVector, w: BraidWord) -> TraceResult:
     reproduces apply_braid on a neighborhood of v.
     """
     if v.strands != w.strands:
-        raise BraidFormatError(
-            f"strand mismatch: vector has {v.strands}, word has {w.strands}"
-        )
-    if not v.is_exact():
-        raise CoordinateError(
-            f"traced_apply needs int or Fraction entries, got {list(v.flat())}"
-        )
+        raise BraidFormatError(f"strand mismatch: vector has {v.strands}, word has {w.strands}")
     flat = v.flat()
     dim = len(flat)
     rec = Recorder()
     zero = Jet(0, (0,) * dim)
-    jets = [
-        Jet(x, tuple(1 if j == k else 0 for j in range(dim)))
-        for k, x in enumerate(flat)
-    ]
+    jets = [Jet(x, tuple(1 if j == k else 0 for j in range(dim))) for k, x in enumerate(flat)]
     m = v.strands - 2
     a, b = jets[:m], jets[m:]
     per_letter = []
     for idx, sign in w:
         start = len(rec.choices)
         _apply_letter(a, b, idx, sign, rec.mx, zero)
-        per_letter.append(
-            (tuple(rec.choices[start:]), tuple(rec.ties[start:]))
-        )
+        per_letter.append((tuple(rec.choices[start:]), tuple(rec.ties[start:])))
     out = DynnikovVector(v.strands, tuple(j.val for j in a), tuple(j.val for j in b))
     matrix = tuple(j.row for j in a + b)
     return TraceResult(out, BranchSignature(tuple(per_letter)), matrix, tuple(rec.constraints))

@@ -157,3 +157,17 @@ def switch_balanced(track, mu) -> bool:
     return all(
         sum(mu[b] for b in s.sideA) == sum(mu[b] for b in s.sideB) for s in track.switches
     )
+
+
+def derive_alpha_1(ann: dict, depth: int, diamond: bool) -> None:
+    """Rebuild the arc alpha_1 of the annotations ann through depth derived arcs.
+
+    d0 is the old alpha_1 and "zero" measures 0; d_k is max(d_{k-1}, x) minus
+    zero, with x = d_{k-1} (a diamond) or zero (a chain), so every d_k, and
+    alpha_1 = d_depth, keeps the old measure of alpha_1.
+    """
+    ann["d0"], ann["zero"] = ann["alpha_1"], {}
+    for k in range(1, depth + 1):
+        prev = f"d{k - 1}"
+        ann[f"d{k}"] = {"derived_max_of": [prev, prev if diamond else "zero"], "minus": "zero"}
+    ann["alpha_1"] = ann.pop(f"d{depth}")

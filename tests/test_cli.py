@@ -4,6 +4,8 @@ import os
 import re
 import subprocess
 import sys
+import time
+import types
 from pathlib import Path
 
 import mpmath
@@ -15,7 +17,7 @@ from dynbraid.cli import main
 from dynbraid.coords import DynnikovVector
 from dynbraid.update import apply_braid
 
-from conftest import FIXTURES
+from conftest import FIXTURES, derive_alpha_1
 
 
 def run(capsys, *argv):
@@ -372,13 +374,86 @@ def test_help_lists_only_the_global_options(capsys):
 
 
 @pytest.mark.parametrize(
-    "vector", ["[NaN, 1]", "[1e400, 1]", "[1e308, 1e308]", '["1/0", 1]', '["1e400", 1.0]']
+    "vector, image",
+    [
+        pytest.param(vector, image, id=vector)
+        for vector, image in [
+            ("[NaN, 1]", None),
+            ("[1e400, 1]", (1, 1 - 10**400)),
+            ("[1e308, 1e308]", (10**308, 0)),
+            ('["1/0", 1]', None),
+            ('["1e400", 1.0]', (1, 1 - 10**400)),
+        ]
+    ],
 )
-def test_act_non_finite_vector_exits_2(capsys, vector):
+def test_act_non_finite_vector_exits_2(capsys, vector, image):
+    # NaN and a zero denominator exit 2; a number beyond the float range is
+    # read exactly, and sigma_1 maps (a, b) to (b, b - a) when a >= b >= 0
     code, out, err = run(capsys, "act", "-n", "3", "-w", "1", "-v", vector)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:")
+    if image is None:
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+    else:
+        assert (code, err) == (0, "")
+        assert out == " ".join(map(str, image)) + "\n"
+
+
+def test_act_reads_decimals_exactly(capsys):
+    code, out, _ = run(capsys, "act", "-n", "3", "-w", "1", "-v", "[0.1, 1]")
+    assert (code, out) == (0, "1/10 9/10\n")
+
+
+@pytest.mark.parametrize("vector", ['["1e999999999", 1]', "[1e-999999999, 1]"])
+def test_act_refuses_a_number_of_too_many_digits_at_once(capsys, vector):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "act", "-n", "3", "-w", "1", "-v", vector)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert "4300 digits" in err
+
+
+def test_act_prints_every_digit_of_a_long_answer(capsys):
+    word = " ".join(["1 -2"] * 12000)
+    code, out, _ = run(capsys, "act", "-n", "3", "-w", word, "-v", "[1, 1]")
+    assert code == 0
+    want = apply_braid(DynnikovVector(3, (1,), (1,)), parse_braid(word, 3)).flat()
+    limit = sys.get_int_max_str_digits()
+    assert limit == 4300  # main restores the limit on converting ints to text
+    sys.set_int_max_str_digits(0)
+    try:
+        assert out.split() == [str(x) for x in want]
+        assert len(out.split()[0]) > limit
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_matrix_prints_every_digit_of_a_long_entry(capsys, monkeypatch):
+    import dynbraid.cli as cli
+
+    big = types.SimpleNamespace(matrix=((10**5000, 0), (0, 1)), region=((1, 0),))
+    monkeypatch.setattr(cli, "dynnikov_matrices", lambda w: [big])
+    code, out, _ = run(capsys, "--format", "json", "matrix", "-n", "3", "-w", "1 -2")
+    assert code == 0
+    assert json.loads(out)["matrices"][0]["matrix"][0] == ["1" + "0" * 5000, "0"]
+    assert sys.get_int_max_str_digits() == 4300
+
+
+def test_track_pf_refuses_a_fractional_entry(tmp_path, capsys):
+    path = tmp_path / "tm.json"
+    path.write_text('{"m": 2, "matrix": [[1.5, 1], [1, 1]]}')
+    code, out, err = run(capsys, "track", "pf", str(path))
+    assert (code, out) == (2, "")
+    assert "a matrix entry must be an integer" in err
+
+
+def test_track_extend_refuses_a_polygon_that_repeats_an_edge(tmp_path, capsys):
+    doc = json.loads((FIXTURES / "track_gamma_base.json").read_text())
+    doc["polygons"][0] = {"punctured": True, "vertices": 14, "edges": ["ma"] * 14}
+    path = tmp_path / "track.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "track", "extend", str(path))
+    assert (code, out) == (2, "")
+    assert "none repeated" in err
 
 
 def test_track_pinch_without_edge_exits_2(capsys):
@@ -556,7 +631,7 @@ def test_malformed_json_files_exit_2(tmp_path, capsys):
     bad.write_text('{"matrix": [[NaN]]}')
     code, out, err = run(capsys, "track", "conjugacy", str(bad), str(bad), str(bad))
     assert code == 2 and out == ""
-    assert "matrix entries must be finite" in err
+    assert "is not valid JSON" in err and "NaN" in err
 
 
 def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
@@ -636,3 +711,18 @@ def test_track_coords_rejects_malformed_annotations(tmp_path, capsys, edit, reas
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and reason in err
+
+
+@pytest.mark.parametrize("depth, diamond", [(3000, False), (200, True)])
+def test_track_coords_evaluates_each_derived_arc_once(tmp_path, capsys, depth, diamond):
+    code, out, _ = _coords_with_annotations(
+        tmp_path, capsys, lambda ann: derive_alpha_1(ann, depth, diamond)
+    )
+    assert (code, out) == (0, "2 -2 -1 3\n")
+
+
+def test_track_coords_reads_decimals_exactly(capsys):
+    measure = ", ".join(f'"{k}": {v / 10}' for k, v in COORDS_MEASURE.items())
+    path = str(FIXTURES / "track_b4_complete.json")
+    code, out, _ = run(capsys, "track", "coords", path, "--measure", "{" + measure + "}")
+    assert (code, out) == (0, "1/5 -1/5 -1/10 3/10\n")

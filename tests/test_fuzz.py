@@ -22,9 +22,13 @@ from test_cli import COORDS_MEASURE
 SEED = 20231
 RANDOM_CASES = 200
 
+# the literal 1e-999999999, which no Python float writes: _text puts it in
+TINY = "<1e-999999999>"
+
 # values put in place of a node of a JSON document
-JUNK = ["x", "", "-", "-m1", "1/0", "abc", "1e400", 1e400, float("nan"), -1, 0, 1, 3, 1.5,
-        True, None, [], {}, [[]], ["a"], [1, 2], {"a": 1}]
+JUNK = ["x", "", "-", "-m1", "1/0", "abc", "1e400", 1e400, float("nan"), float("-inf"), -1, 0,
+        1, 3, 1.5, 0.1, 2.0, "1e999999999", TINY, True, None, [], {}, [[]], ["a"], [1, 2],
+        {"a": 1}]
 
 NON_FINITE = re.compile(r"(?i)(?<![a-z])-?(nan|inf|infinity)(?![a-z])")
 
@@ -72,7 +76,7 @@ def _mutate(rng, doc, within=()):
 
 def _text(rng, doc):
     """doc as JSON text, now and then cut short or with a stray character."""
-    text = json.dumps(doc)
+    text = json.dumps(doc).replace(json.dumps(TINY), TINY[1:-1])
     roll = rng.random()
     if roll < 0.1:
         return text[: rng.randrange(len(text) + 1)]
@@ -196,10 +200,25 @@ def _annotated_track(tmp_path, name, edit):
 
 
 def _fixed_cases(tmp_path):
-    """Inputs that once escaped main with a traceback."""
+    """Inputs that once escaped main with a traceback, and true in each
+    integer field."""
     infinite = tmp_path / "infinite.json"
     infinite.write_text('{"matrix": [[Infinity]]}')
-    return [
+    cases = []
+    tm, track = "tm_gamma_T.json", "track_gamma_base.json"
+    for k, (sub, name, edit) in enumerate([
+        ("pf", tm, lambda doc: doc.update(m=True)),
+        ("pf", tm, lambda doc: doc.update(matrix=[[True, 8, 4], [12, 21, 8], [12, 20, 9]])),
+        ("extend", track, lambda doc: doc.update(n=True)),
+        ("extend", track, lambda doc: doc["polygons"][0].update(vertices=True)),
+        ("extend", track, lambda doc: doc["branches"][0]["from"].update(pos=True)),
+    ]):
+        doc = _fixture(name)
+        edit(doc)
+        path = tmp_path / f"true{k}.json"
+        path.write_text(json.dumps(doc))
+        cases.append(["track", sub, str(path)])
+    return cases + [
         ["act", "-n", "3", "-w", "1", "-v", '["1e400", 1.0]'],
         ["track", "pf", str(infinite)],
         _annotated_track(tmp_path, "a1.json", lambda ann: ann.update(alpha_1="x")),

@@ -16,6 +16,7 @@ from dynbraid.traintrack import (
     Measure,
     TrainPath,
     _arc_measure_generic,
+    _arc_order,
     _path_measure_generic,
     catalan,
     change_of_coords,
@@ -32,6 +33,7 @@ from dynbraid.traintrack import (
 )
 
 from conftest import (
+    derive_alpha_1,
     example_track_measure,
     fraction_matrix,
     int_matrix,
@@ -164,6 +166,30 @@ def test_load_rejects_polygon_edge_that_is_no_branch():
     doc["polygons"][0]["edges"][0] = "ghost"
     with pytest.raises(TrackFormatError, match="'ghost' is not a branch"):
         load_track(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc.update(n=True),
+        lambda doc: doc["polygons"][0].update(vertices=2.5),
+        lambda doc: doc["branches"][0]["from"].update(pos=True),
+    ],
+)
+def test_load_rejects_true_and_fractions_in_integer_fields(edit):
+    doc = json.loads(load_fixture("track_gamma_base.json"))
+    edit(doc)
+    with pytest.raises(TrackFormatError, match="must be an integer"):
+        load_track(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "text", ['{"m": true, "matrix": [[2]]}', '{"matrix": [[true]]}', '{"matrix": [[2.5]]}',
+             '{"m": 1, "matrix": [[2, 0], [1, 1]], "permutation": [true]}']
+)
+def test_transition_matrix_rejects_non_integers(text):
+    with pytest.raises(TrackFormatError, match="must be an integer"):
+        load_transition_matrix(text)
 
 
 def test_load_rejects_non_integer_fields():
@@ -546,12 +572,12 @@ def test_arc_measures_direct():
     track = load_track(load_fixture("track_b4_complete.json"))
     mu = example_track_measure(Fraction(8), Fraction(6), Fraction(10), Fraction(4))
     ann = track.annotations
-    assert _arc_measure_generic(track, ann, "beta_1", mu, min, max, 0) == 8
-    assert _arc_measure_generic(track, ann, "beta_2", mu, min, max, 0) == 10
-    assert _arc_measure_generic(track, ann, "beta_3", mu, min, max, 0) == 4
-    assert _arc_measure_generic(track, ann, "alpha_1", mu, min, max, 0) == mu["m2"]
+    assert _arc_measure_generic(track, ann["beta_1"], mu, min, max, 0) == 8
+    assert _arc_measure_generic(track, ann["beta_2"], mu, min, max, 0) == 10
+    assert _arc_measure_generic(track, ann["beta_3"], mu, min, max, 0) == 4
+    assert _arc_measure_generic(track, ann["alpha_1"], mu, min, max, 0) == mu["m2"]
     with pytest.raises(TrackFormatError):
-        _arc_measure_generic(track, ann, "alpha_99", mu, min, max, 0)
+        _arc_order(ann, ["alpha_99"])
 
 
 def test_change_of_coords_closed_form():
@@ -607,6 +633,17 @@ def test_linearize_b4_track_agrees():
     v = change_of_coords(track, example_track_measure(*other))
     image = [sum(c * x for c, x in zip(row, other)) for row in L]
     assert list(v.flat()) == image
+
+
+@pytest.mark.parametrize("depth, diamond", [(3000, False), (200, True)])
+def test_derived_arcs_are_evaluated_once_each(depth, diamond):
+    doc = json.loads(load_fixture("track_b4_complete.json"))
+    plain = load_track(json.dumps(doc))
+    derive_alpha_1(doc["annotations"], depth, diamond)
+    track = load_track(json.dumps(doc))
+    base = example_track_measure(Fraction(6), Fraction(5), Fraction(4), Fraction(3))
+    assert change_of_coords(track, base) == change_of_coords(plain, base)
+    assert linearize_change_of_coords(track, base) == linearize_change_of_coords(plain, base)
 
 
 def test_linearize_rejects_inconsistent_measure():

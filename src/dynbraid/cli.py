@@ -17,7 +17,6 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 from functools import partial
 
 import mpmath
@@ -32,7 +31,7 @@ from .errors import (
     VerificationFailed,
 )
 from .regions import arcs_svg, dynnikov_matrices, enumerate_regions_n3
-from .spectral import dilatation, isospectral_up_to
+from .spectral import isospectral_up_to
 from .traintrack import (
     Measure,
     change_of_coords,
@@ -142,11 +141,15 @@ def _matrix_record(w: BraidWord):
     return rec, lines
 
 
+def _value(root, p, digits):
+    """p at the Root, an mpf of digits + 10 digits, from a 2^-(4 digits + 40) enclosure."""
+    mid = sum(root.enclose(p, 4 * digits + 40)) / 2
+    with mpmath.workdps(digits + 10):
+        return mpmath.mpf(mid.numerator) / mid.denominator
+
+
 def _dilatation_record(w: BraidWord, digits: int):
-    m = dynnikov_matrices(w)[0]
-    lam = m.dilatation
-    if digits > 30:  # m.dilatation is bisected to 1e-30 only
-        lam = dilatation(m.matrix_list(), tol=Fraction(1, 10 ** (digits + 5)))
+    lam = _value(dynnikov_matrices(w)[0].dilatation, (0, 1), digits)
     with mpmath.workdps(digits + 10):
         log = mpmath.log(lam)
     rec = {
@@ -272,7 +275,11 @@ def cmd_track(args) -> int:
     if sub == "pf":
         with open(args.files[0]) as fh:
             T = load_transition_matrix(fh.read())
-        lam, v = transition_pf(T, precision=args.digits + 10)
+        root, v = transition_pf(T)
+        lam, *v = (_value(root, p, args.digits) for p in [(0, 1), *v])
+        with mpmath.workdps(args.digits + 10):
+            norm = mpmath.norm(v)
+            v = [x / norm for x in v]
         rec = {
             "lambda": mpmath.nstr(lam, args.digits),
             "eigenvector": [mpmath.nstr(x, args.digits) for x in v],

@@ -33,7 +33,7 @@ class NoDominantRealRoot(DynbraidError):
 
 
 class NotIrreducible(DynbraidError):
-    """Power iteration produced an eigenvector with a zero entry."""
+    """A transition matrix has no PF eigenvalue or no positive eigenvector for it."""
 
 
 class TrackFormatError(DynbraidError):

@@ -42,8 +42,10 @@ import mpmath
 
 from .braid import BraidWord
 from .coords import DynnikovVector
-from .errors import DynbraidError, NoDominantRealRoot, NonConvergence, VerificationFailed
-from .spectral import dilatation
+from .errors import (
+    BraidFormatError, DynbraidError, NoDominantRealRoot, NonConvergence, VerificationFailed
+)
+from .spectral import Root, dilatation
 from .update import BranchSignature, apply_braid, traced_apply
 
 
@@ -68,7 +70,7 @@ class DynnikovMatrix:
     matrix: tuple  # integer rows
     region: tuple  # integer rows c, region closure is {x : c.x >= 0}
     signature: BranchSignature
-    dilatation: object  # certified spectral radius > 1, an mpmath mpf
+    dilatation: Root  # the certified spectral radius > 1
 
     def matrix_list(self) -> list:
         return [list(r) for r in self.matrix]
@@ -363,9 +365,10 @@ def dynnikov_matrices(w: BraidWord) -> list:
             ]
         except NoDominantRealRoot as exc:
             _certify_failure(w, exc)
+        # equal when each is a zero of the other's f, as each dominates its own
         radius = results[0].dilatation
         for m in results[1:]:
-            if abs(m.dilatation - radius) > 1e-12 * radius:
+            if not radius.sign(m.dilatation.f) == 0 == m.dilatation.sign(radius.f):
                 raise VerificationFailed("candidate matrices disagree on spectral radius")
     return results
 
@@ -473,7 +476,7 @@ def enumerate_regions_n3(w: BraidWord) -> list:
     current mpmath working precision.
     """
     if w.strands != 3:
-        raise ValueError("circle decomposition only applies to 3 strands")
+        raise BraidFormatError("circle decomposition only applies to 3 strands")
     out = []
     for start, end, matrix in _walk_n3(w):
         lo, hi = _angle(start), _angle(end)

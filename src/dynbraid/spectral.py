@@ -8,6 +8,7 @@ modulus at most 1 and so can neither be the dominant root nor compete with
 it.  A float Newton step only seeds a dyadic bracket; the signs that bisect
 it and the Schur-Cohn root counts that prove its root real, simple and
 strictly dominant are all computed on integers, so no float margin decides.
+A dilatation is kept as that bracket, a Root, and read and compared on it.
 "Isospectral up to ..." comparisons are decided on exact integer polynomials
 after stripping the designated trivial factors, never on approximate roots.
 """
@@ -20,9 +21,7 @@ from functools import cache
 from fractions import Fraction
 from math import gcd, lcm, ldexp
 
-import mpmath
-
-from .errors import CoordinateError, NoDominantRealRoot
+from .errors import CoordinateError, DynbraidError, NoDominantRealRoot
 
 Mode = str  # "exact" | "roots_of_unity_and_zeros" | "eigenvalues_one"
 MODES = ("exact", "roots_of_unity_and_zeros", "eigenvalues_one")
@@ -143,6 +142,8 @@ def _poly_gcd(a, b):
 
     Scaling a by lead(b)^(deg a - deg b + 1) keeps the division integral.
     """
+    if len(a) < len(b):
+        a, b = b, a
     while len(b) > 1:
         scale = b[-1] ** (len(a) - len(b) + 1)
         _, r = poly_divmod([x * scale for x in a], b)
@@ -252,8 +253,10 @@ def _failure(f, g, a, b, k):
     |x| < a/2^k and deg in |x| < b/2^k: the one zero left in the annulus is
     then the real one.  It is a simple zero of f * g (g being f's repeated
     part, whose zeros are f's) when g has all its zeros in |x| < a/2^k.  A
-    larger modulus or a repeated zero raises at once; a second zero in the
-    annulus or an undecided count gives the reason.
+    larger modulus or a repeated zero raises at once, and so does a second
+    zero in the annulus when f / gcd(f(x), f(-x)) has all its zeros in
+    |x| < a/2^k, since a pair x, -x then has the largest modulus; else that
+    second zero, or an undecided count, gives the reason.
     """
     d = len(f) - 1
     above = _zeros_within(f, b, k)
@@ -263,7 +266,11 @@ def _failure(f, g, a, b, k):
     if above is None or below is None:
         return "failed to certify the dominant root"
     if below < d - 1:
-        return "another eigenvalue has the modulus of the dominant real root"
+        reason = "another eigenvalue has the modulus of the dominant real root"
+        h = poly_divides(f, _poly_gcd(f, [(-1) ** j * c for j, c in enumerate(f)]))
+        if _zeros_within(h, a, k) == len(h) - 1:
+            raise NoDominantRealRoot(reason)
+        return reason
     repeated = _zeros_within(g, a, k)
     if repeated is None:
         return "failed to certify the dominant root"
@@ -272,36 +279,85 @@ def _failure(f, g, a, b, k):
     return None
 
 
-def dilatation(M, tol=Fraction(1, 10**30)):
-    """The dominant real eigenvalue > 1 of M, certified and refined on integers.
+CERTIFY_BITS = 100  # relative width 2^-100 of the last bracket tried
+
+
+@dataclass(frozen=True)
+class Root:
+    """The one zero of the squarefree integer polynomial f (a coefficient tuple,
+    lowest degree first) in [a/2^k, b/2^k], 0 < a < b, where f changes sign."""
+
+    f: tuple
+    a: int
+    b: int
+    k: int
+
+    def refine(self, bits):
+        """The same zero on a bracket of relative width at most 2^-bits, by bisection."""
+        f, a, b, k = self.f, self.a, self.b, self.k
+        sign_a = _sign_at(f, a, k)
+        while (b - a) << bits > a:
+            a, b, k = 2 * a, 2 * b, k + 1
+            mid = (a + b) // 2
+            s = _sign_at(f, mid, k)
+            if s == 0:  # an exact zero: it stays the midpoint from now on
+                a, b = mid - 1, mid + 1
+            elif s == sign_a:
+                a = mid
+            else:
+                b = mid
+        return Root(f, a, b, k)
+
+    def enclose(self, p, bits):
+        """Fractions lo, hi of one sign around the integer polynomial p at the zero,
+        hi - lo <= 2^-bits min(|lo|, |hi|), by interval Horner; p(zero) != 0."""
+        root, need = self, bits
+        while True:
+            root = root.refine(need)
+            a, b, k = root.a, root.b, root.k
+            lo = hi = 0  # 2^(k deg p) p on the bracket, scaled as in _sign_at
+            for i, c in enumerate(reversed(p)):
+                c <<= k * i
+                lo, hi = lo * (a if lo > 0 else b) + c, hi * (b if hi > 0 else a) + c
+            small = lo if lo > 0 else -hi  # > 0 when lo and hi share a sign
+            if small > 0 and (hi - lo) << bits <= small:
+                return tuple(Fraction(x, 1 << k * (len(p) - 1)) for x in (lo, hi))
+            need = 2 * need + 8
+
+    def sign(self, p):
+        """The exact sign of p at the zero (p an integer polynomial, leading
+        coefficient nonzero): 0 when gcd(f, p) changes sign on the bracket."""
+        g = _poly_gcd(self.f, p)
+        if _sign_at(g, self.a, self.k) * _sign_at(g, self.b, self.k) < 0:
+            return 0
+        return 1 if self.enclose(p, 0)[0] > 0 else -1
+
+
+def dilatation(M) -> Root:
+    """The dominant real eigenvalue > 1 of M, certified on integers, as a Root.
 
     Everything runs on the char poly with its zeros and roots of unity
     stripped.  That is exact: the stripped roots have modulus at most 1, so
     they can neither be the dominant root nor compete with it.  The stripped
     factor is split into its squarefree part f and repeated part g =
     gcd(f, f').  Newton in floats estimates the largest real zero of f; a
-    dyadic bracket around it is widened until f changes sign at its ends
-    and bisected to relative width tol, with every sign taken on integers.
-    The Schur-Cohn root count then proves that the bracket, coarse or at
-    tol, holds exactly one zero of the modulus found, real and simple, and
-    that all others are smaller in modulus.  The midpoint is returned with
-    enough digits to show it (at least 45); an exact dyadic zero is
-    returned exactly.
+    dyadic bracket around it is widened until f changes sign at its ends,
+    with every sign taken on integers.  The Schur-Cohn root count then
+    proves that a bracket holds exactly one zero of the modulus found, real
+    and simple, and that all others are smaller in modulus: an 8-bit bracket,
+    else the Newton bracket, else that one refined to CERTIFY_BITS.
 
     Raises NoDominantRealRoot when no real root > 1 is proved simple and
     strictly larger in modulus than every other root.
     """
-    tol = Fraction(tol)
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     p, _ = strip_trivial_factors(char_poly(M), "roots_of_unity_and_zeros")
     if p.degree < 1:  # identity, rotations
         raise NoDominantRealRoot("no real eigenvalue exceeding 1")
     den = lcm(*(Fraction(c).denominator for c in p.coeffs))  # M may be rational
-    f = [int(c * den) for c in p.coeffs]
+    f = tuple(int(c * den) for c in p.coeffs)
     g = _poly_gcd(f, [j * c for j, c in enumerate(f)][1:])
     if len(g) > 1:
-        f = list(poly_divides(f, g))
+        f = poly_divides(f, g)
     estimate = _newton_from_above(f)
     if estimate is None:
         raise NoDominantRealRoot("no real eigenvalue exceeding 1 dominates")
@@ -311,31 +367,17 @@ def dilatation(M, tol=Fraction(1, 10**30)):
         a, b = c - w, c + w
         if a <= 1 << k:
             raise NoDominantRealRoot("failed to bracket the dominant root")
-        sign_a = _sign_at(f, a, k)
-        if sign_a * _sign_at(f, b, k) < 0:
+        if _sign_at(f, a, k) * _sign_at(f, b, k) < 0:
             break
         w *= 2
+    newton = Root(f, a, b, k)
     m = max(0, min(k, a.bit_length() - 8))  # a coarse bracket, a >> m of 8 bits
-    brackets = [(a >> m, (b >> m) + 1, k - m), (a, b, k)]
-    while (b - a) * tol.denominator > tol.numerator * a:
-        a, b, k = 2 * a, 2 * b, k + 1
-        mid = (a + b) // 2
-        s = _sign_at(f, mid, k)
-        if s == 0:  # an exact zero: it stays the midpoint from now on
-            a, b = mid - 1, mid + 1
-        elif s == sign_a:
-            a = mid
-        else:
-            b = mid
-    brackets.append((a, b, k))
-    for bracket in brackets:  # each holds the real zero; coarse ones are cheap
-        reason = _failure(f, g, *bracket)
+    for root in (Root(f, a >> m, (b >> m) + 1, k - m), newton, None):
+        root = root or newton.refine(CERTIFY_BITS)  # built only if both fail
+        reason = _failure(f, g, root.a, root.b, root.k)
         if reason is None:
-            break
-    else:
-        raise NoDominantRealRoot(reason)
-    with mpmath.workdps(max(45, len(str(tol.denominator)) + 5)):
-        return mpmath.ldexp(mpmath.mpf(a + b), -(k + 1))
+            return root
+    raise NoDominantRealRoot(reason)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +391,7 @@ def strip_trivial_factors(p: CharPoly, mode: Mode):
     "cyclotomic_<d>".
     """
     if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
+        raise DynbraidError(f"unknown mode {mode!r}")
     if mode == "exact":
         return p, []
     coeffs = p.coeffs

@@ -36,18 +36,15 @@ from fractions import Fraction
 from graphlib import CycleError, TopologicalSorter
 from math import comb, prod
 
-import mpmath
-
 from .coords import DynnikovVector, json_int, load_json
 from .errors import (
     NoDominantRealRoot,
-    NonConvergence,
     NotIrreducible,
     TieAtBasepoint,
     TrackFormatError,
     VerificationFailed,
 )
-from .spectral import dilatation, mat_mul
+from .spectral import char_poly, dilatation, mat_mul
 from .update import Jet, Recorder
 
 # ---------------------------------------------------------------------------
@@ -326,39 +323,29 @@ def load_transition_matrix(text: str) -> TransitionMatrix:
 # Perron-Frobenius data of a transition matrix
 
 
-def transition_pf(T: TransitionMatrix, precision: int = 30):
-    """PF eigenvalue and strictly positive unit eigenvector of the main block.
+def transition_pf(T: TransitionMatrix):
+    """PF eigenvalue, a ``spectral.Root``, and positive eigenvector of the main block.
 
-    The eigenvalue is refined against the exact characteristic polynomial;
-    NotIrreducible is raised when no simple dominant eigenvalue > 1 exists or
-    the eigenvector has a vanishing entry, and NonConvergence when the power
-    iteration for the eigenvector does not settle.
+    The eigenvector is adj(xI - M) 1 = sum_j x^(m-1-j) B_j 1, with B_0 = I
+    and B_j = M B_(j-1) + c_j I: integer polynomials, lowest degree first,
+    read at the simple eigenvalue lam.  adj(lam I - M) is p'(lam) v w^T / w^T v
+    with p'(lam) > 0 and w >= 0 as M >= 0, so that is a positive multiple of
+    the eigenvector v.  NotIrreducible is raised when no simple dominant
+    eigenvalue > 1 exists or Root.sign finds an entry that is not positive.
     """
     M = T.main_block()
     try:
-        lam = dilatation(M, tol=Fraction(1, 10 ** max(30, precision + 5)))
+        root = dilatation(M)
     except NoDominantRealRoot as exc:
         raise NotIrreducible(str(exc)) from None
-    m = len(M)
-    with mpmath.workdps(precision + 15):
-        v = [mpmath.mpf(1)] * m
-        for _ in range(5000):
-            nv = [sum(mpmath.mpf(M[i][j]) * v[j] for j in range(m)) for i in range(m)]
-            norm = max(abs(x) for x in nv)
-            nv = [x / norm for x in nv]
-            if max(abs(a - b) for a, b in zip(nv, v)) < mpmath.mpf(10) ** -(precision + 5):
-                v = nv
-                break
-            v = nv
-        else:
-            raise NonConvergence(
-                "power iteration for the PF eigenvector did not converge in 5000 steps"
-            )
-        euclid = mpmath.sqrt(sum(x * x for x in v))
-        v = [x / euclid for x in v]
-        if min(v) <= mpmath.mpf(10) ** -(precision):
-            raise NotIrreducible("PF eigenvector has a non-positive entry")
-        return lam, v
+    c = char_poly(M).coeffs[::-1]  # det(xI - M) = sum_j c_j x^(m-j)
+    b = [[1] * len(M)]  # B_j 1, for j = 0 .. m-1
+    for j in range(1, len(M)):
+        b.append([sum(x * y for x, y in zip(row, b[-1])) + c[j] for row in M])
+    v = list(zip(*reversed(b)))
+    if {root.sign(p) for p in v} != {1}:
+        raise NotIrreducible("PF eigenvector has a non-positive entry")
+    return root, v
 
 
 # ---------------------------------------------------------------------------

@@ -171,3 +171,22 @@ def derive_alpha_1(ann: dict, depth: int, diamond: bool) -> None:
         prev = f"d{k - 1}"
         ann[f"d{k}"] = {"derived_max_of": [prev, prev if diamond else "zero"], "minus": "zero"}
     ann["alpha_1"] = ann.pop(f"d{depth}")
+
+
+def root_value(root, p=(0, 1)):
+    """The integer polynomial p at a spectral.Root, as an mpf of 210 bits."""
+    import mpmath
+
+    mid = sum(root.enclose(p, 200)) / 2
+    with mpmath.workprec(210):
+        return mpmath.mpf(mid.numerator) / mid.denominator
+
+
+def pf_vector(root, v):
+    """The eigenvector v of traintrack.transition_pf at its Root, of Euclidean norm 1."""
+    import mpmath
+
+    xs = [root_value(root, p) for p in v]
+    with mpmath.workprec(210):
+        norm = mpmath.sqrt(sum(x * x for x in xs))
+        return [x / norm for x in xs]

@@ -48,11 +48,13 @@ from conftest import (
     int_matrix,
     load_fixture,
     mat_vec,
+    pf_vector,
     poly_mul,
     random_rational,
     random_triangleish,
     random_vector,
     random_word,
+    root_value,
     scaled,
     switch_balanced,
 )
@@ -82,7 +84,7 @@ def test_criterion_2_three_strand_example():
     w = parse_braid("1 -2", 3)
     mats = dynnikov_matrices(w)
     assert [m.matrix for m in mats] == [GOLDEN_N3]
-    lam = dilatation(mats[0].matrix_list())
+    lam = root_value(dilatation(mats[0].matrix_list()))
     with mpmath.workdps(40):
         assert abs(lam - (3 + mpmath.sqrt(5)) / 2) < mpmath.mpf("1e-12")
     arcs = enumerate_regions_n3(w)
@@ -96,7 +98,7 @@ def test_criterion_3_five_strand_example():
     w = parse_braid("1 2 3 -4", 5)
     mats = dynnikov_matrices(w)
     assert {m.matrix for m in mats} == {D1_N5, D2_N5}
-    radii = [dilatation(m.matrix_list()) for m in mats]
+    radii = [root_value(dilatation(m.matrix_list())) for m in mats]
     assert abs(radii[0] - radii[1]) < 1e-12 * radii[0]
     u = [Fraction(x, 1 << PREC) for x in find_unstable_direction(w).u]
     assert all(x <= 1e-12 for x in u)
@@ -110,9 +112,9 @@ def test_criterion_4_four_strand_word():
     assert [m.matrix_list() for m in mats] == [D]
     T = load_transition_matrix(load_fixture("tm_b4_word.json"))
     assert char_poly(D).coeffs == char_poly(T.main_block()).coeffs
-    lam = dilatation(D)
+    lam = root_value(dilatation(D))
     assert abs(float(lam) - 4.61158) < 5e-6
-    _, v = transition_pf(T)
+    v = pf_vector(*transition_pf(T))
     printed = (0.50135, 0.59215, 0.41871, 0.47190)
     for x, y in zip(v, printed):
         assert abs(float(x) - y) < 5e-5
@@ -129,7 +131,8 @@ def test_criterion_5_gamma_word():
     # D carries exactly one more eigenvalue-1 factor than T
     assert rep.factors_left == (("x-1", 2),)
     assert rep.factors_right == (("x-1", 1),)
-    lam, v = transition_pf(T)
+    root, v = transition_pf(T)
+    lam, v = root_value(root), pf_vector(root, v)
     with mpmath.workdps(40):
         assert abs(lam - (17 + 12 * mpmath.sqrt(2))) < mpmath.mpf("1e-9")
         ratio = 1 + mpmath.sqrt(2)
@@ -151,7 +154,7 @@ def test_criterion_6_high_entropy_word_under_10s():
     mats = dynnikov_matrices(w)
     D = int_matrix("mat_s3_D.json")
     assert [m.matrix_list() for m in mats] == [D]
-    lam = dilatation(D)
+    lam = root_value(dilatation(D))
     assert abs(mpmath.log(lam) - 34.38) < 0.01
     assert time.monotonic() - start < 10.0
 
@@ -168,7 +171,7 @@ MINIMUM_DILATATION = {
 def test_minimum_dilatation_oracle():
     rng = random.Random(31)
     for n, (word, quartic, printed) in MINIMUM_DILATATION.items():
-        lam = dynnikov_matrices(parse_braid(word, n))[0].dilatation
+        lam = root_value(dynnikov_matrices(parse_braid(word, n))[0].dilatation)
         assert mpmath.nstr(lam, 12) == printed
         with mpmath.workdps(40):
             root = mpmath.findroot(lambda x: mpmath.polyval(list(quartic), x), lam)
@@ -176,7 +179,7 @@ def test_minimum_dilatation_oracle():
             assert abs(lam - root) < mpmath.mpf(10) ** -25
             for _ in range(20):
                 w = parse_braid(_penner_word(rng, n, rng.randint(n - 1, 12)), n)
-                assert dynnikov_matrices(w)[0].dilatation >= floor, w.render()
+                assert root_value(dynnikov_matrices(w)[0].dilatation) >= floor, w.render()
 
 
 def test_criterion_7_action_property_suite():

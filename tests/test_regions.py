@@ -8,7 +8,7 @@ import pytest
 
 from dynbraid.braid import identity_word, inverse, parse_braid
 from dynbraid.coords import DynnikovVector
-from dynbraid.errors import NonConvergence
+from dynbraid.errors import BraidFormatError, NonConvergence, VerificationFailed
 import dynbraid.regions as regions
 from dynbraid.regions import (
     PREC,
@@ -22,7 +22,7 @@ from dynbraid.regions import (
 from dynbraid.spectral import dilatation
 from dynbraid.update import apply_braid, traced_apply
 
-from conftest import mat_vec
+from conftest import mat_vec, root_value
 
 GOLDEN_N3 = ((2, 1), (1, 1))
 SIX_N3 = {
@@ -144,8 +144,27 @@ def test_dynnikov_matrices_two_regions_n5():
     w = parse_braid("1 2 3 -4", 5)
     mats = dynnikov_matrices(w)
     assert {m.matrix for m in mats} == {D1_N5, D2_N5}
-    radii = [dilatation(m.matrix_list()) for m in mats]
+    radii = [root_value(dilatation(m.matrix_list())) for m in mats]
     assert abs(radii[0] - radii[1]) < 1e-12 * radii[0]
+
+
+@pytest.mark.parametrize(
+    "left, right, equal",
+    [
+        ([[2, 1], [1, 1]], [[1, 1, 0], [1, 2, 0], [0, 0, 1]], True),  # one more factor x - 1
+        ([[10**13]], [[10**13 + 1]], False),  # 1e-13 apart, relative
+    ],
+)
+def test_candidates_share_their_radius_exactly(monkeypatch, left, right, equal):
+    # "1 2 3 -4" has two candidate matrices; give them these radii instead
+    radii = iter([dilatation(left), dilatation(right)])
+    monkeypatch.setattr(regions, "dilatation", lambda M: next(radii))
+    w = parse_braid("1 2 3 -4", 5)
+    if equal:
+        assert len(dynnikov_matrices(w)) == 2
+    else:
+        with pytest.raises(VerificationFailed, match="disagree on spectral radius"):
+            dynnikov_matrices(w)
 
 
 def test_fixed_direction_on_wall_n5():
@@ -410,7 +429,7 @@ def test_regions_n3_identity():
 
 
 def test_regions_n3_rejects_other_strand_counts():
-    with pytest.raises(ValueError):
+    with pytest.raises(BraidFormatError, match="only applies to 3 strands"):
         enumerate_regions_n3(parse_braid("1", 4))
 
 

@@ -1,14 +1,16 @@
 import random
+import time
 from fractions import Fraction
 
 import mpmath
 import pytest
 
 from dynbraid.braid import parse_braid
-from dynbraid.errors import NoDominantRealRoot
+from dynbraid.errors import DynbraidError, NoDominantRealRoot
 from dynbraid.regions import dynnikov_matrices
 from dynbraid.spectral import (
     CharPoly,
+    Root,
     char_poly,
     cyclotomic,
     dilatation,
@@ -20,7 +22,7 @@ from dynbraid.spectral import (
     strip_trivial_factors,
 )
 
-from conftest import block_lift, poly_mul
+from conftest import block_lift, poly_mul, root_value
 
 
 def rand_matrix(rng, n, span=9):
@@ -140,7 +142,7 @@ def test_char_poly_evaluation():
 
 
 def test_dilatation_golden():
-    lam = dilatation([[2, 1], [1, 1]])
+    lam = root_value(dilatation([[2, 1], [1, 1]]))
     with mpmath.workdps(45):
         expect = (3 + mpmath.sqrt(5)) / 2
         assert abs(lam - expect) < mpmath.mpf("1e-25")
@@ -149,7 +151,7 @@ def test_dilatation_golden():
 def test_dilatation_is_polynomial_root():
     M = [[5, -2, 3, 1], [3, 0, 1, -2], [1, -1, 1, 1], [1, 1, 0, -2]]
     p = char_poly(M)
-    lam = dilatation(M)
+    lam = root_value(dilatation(M))
     with mpmath.workdps(50):
         assert abs(p(lam)) < mpmath.mpf("1e-25")
 
@@ -188,6 +190,24 @@ def test_dilatation_rejects_opposite_roots():
         dilatation([[0, 9], [1, 0]])
 
 
+def test_dilatation_refuses_opposite_dominant_roots_at_once():
+    # -d beside 3..d: the coarsest bracket already shows that every zero of
+    # modulus near d pairs with its negative, so no 2^-100 retry runs
+    start = time.monotonic()
+    for d in (21, 17):
+        D = [[v * (i == j) for j in range(d - 1)] for i, v in enumerate([-d, *range(3, d + 1)])]
+        with pytest.raises(NoDominantRealRoot, match="has the modulus of the dominant"):
+            dilatation(D)
+    assert time.monotonic() - start < 1.0
+
+
+def test_dilatation_certifies_a_root_beside_a_close_opposite_pair():
+    # 30 and +-sqrt 899 = +-29.983...: the coarse bracket around 30 also holds
+    # sqrt 899, whose negative is a zero, but 30 strictly dominates
+    root = dilatation([[30, 0, 0], [0, 0, 899], [0, 1, 0]])
+    assert root_value(root) == 30
+
+
 def test_dilatation_rejects_double_root():
     # (x - 3)^2
     with pytest.raises(NoDominantRealRoot, match="not simple"):
@@ -202,21 +222,14 @@ def test_dilatation_rejects_complex_roots_only():
 
 def test_dilatation_returns_a_dyadic_root_exactly():
     # the bisection lands on the zero 2 and keeps it as the midpoint
-    assert dilatation([[2]]) == 2
-    assert dilatation([[1, 1], [1, 1]]) == 2
-
-
-def test_dilatation_rejects_non_positive_tol():
-    # the bisection would never reach a width of 0
-    for tol in (0, -1):
-        with pytest.raises(ValueError, match="tol must be positive"):
-            dilatation([[2, 1], [1, 1]], tol=tol)
+    assert root_value(dilatation([[2]])) == 2
+    assert root_value(dilatation([[1, 1], [1, 1]])) == 2
 
 
 def test_dilatation_certifies_high_degree():
     # twenty real roots 2..21: the root counts run nineteen transforms deep
     D = [[(i + 2) * (i == j) for j in range(20)] for i in range(20)]
-    assert dilatation(D) == 21
+    assert root_value(dilatation(D)) == 21
 
 
 def _reference_dilatation(M):
@@ -254,11 +267,33 @@ def test_dilatation_agrees_with_polyroots_oracle():
         decided[verdict] += 1
         if verdict == "accept":
             with mpmath.workdps(50):
-                assert abs(dilatation(M) - lam) < mpmath.mpf("1e-25") * lam, M
+                assert abs(root_value(dilatation(M)) - lam) < mpmath.mpf("1e-25") * lam, M
         else:
             with pytest.raises(NoDominantRealRoot):
                 dilatation(M)
     assert decided["accept"] >= 50 and decided["reject"] >= 150, decided
+
+
+def test_root_sign_is_exact():
+    # sqrt 2 is the zero of x^4 - 5x^2 + 6 = (x^2 - 2)(x^2 - 3) in [11/8, 12/8]
+    root = Root((6, 0, -5, 0, 1), 11, 12, 3)
+    assert root.sign((-2, 0, 1)) == 0
+    assert root.sign((-3, 0, 1)) == -1
+    assert root.sign((-1, 0, 1)) == 1
+    assert root.sign((-141421356, 100000000)) == 1  # sqrt 2 = 1.41421356237...
+    two = dilatation([[2]])  # an exact dyadic zero
+    assert [two.sign((c, 1)) for c in (-2, -3, -1)] == [0, -1, 1]
+    big = dilatation([[10**15, 0], [1, 1]])
+    # x - 10^15 + 1 is 1 at the zero, 1e-15 relative to x
+    assert [big.sign((c, 1)) for c in (-(10**15), -(10**15) + 1, -(10**15) - 1)] == [0, 1, -1]
+
+
+def test_root_enclose_is_tight_and_holds_the_value():
+    root = dilatation([[2, 1], [1, 1]])  # (3 + sqrt 5) / 2
+    for bits in (0, 10, 50, 120):
+        lo, hi = root.enclose((-3, 1), bits)  # (sqrt 5 - 3) / 2 < 0
+        assert lo <= hi < 0 and (hi - lo) * 2**bits <= -hi
+        assert (2 * lo + 3) ** 2 <= 5 <= (2 * hi + 3) ** 2
 
 
 def block_sum(A, B):
@@ -275,7 +310,7 @@ def test_dilatation_ignores_repeated_trivial_factors():
     # carries (x-1)^4 beside the factor of λ
     C = [[0, 0, 0, -1], [1, 0, 0, 9], [0, 1, 0, -21], [0, 0, 1, 9]]
     M = block_sum(C, identity(4))
-    lam = dilatation(M)
+    lam = root_value(dilatation(M))
     assert mpmath.nstr(lam, 12) == "5.43400775144"
     p = char_poly(M)
     x, eps = Fraction(mpmath.nstr(lam, 40)), Fraction(1, 10**25)
@@ -293,7 +328,7 @@ def test_dilatation_never_calls_polyroots(monkeypatch):
         raise mpmath.libmp.NoConvergence("Didn't converge in maxsteps=200 steps.")
 
     monkeypatch.setattr(mpmath, "polyroots", stall)
-    lam = dilatation([[2, 1], [1, 1]])
+    lam = root_value(dilatation([[2, 1], [1, 1]]))
     with mpmath.workdps(45):
         assert abs(lam - (3 + mpmath.sqrt(5)) / 2) < mpmath.mpf("1e-25")
 
@@ -378,7 +413,7 @@ def test_strip_reconstructs_input():
 
 
 def test_strip_unknown_mode():
-    with pytest.raises(ValueError):
+    with pytest.raises(DynbraidError, match="unknown mode"):
         strip_trivial_factors(CharPoly((1, 1)), "bogus")
 
 

@@ -39,8 +39,10 @@ from conftest import (
     int_matrix,
     load_fixture,
     pinched_track_measure,
+    pf_vector,
     poly_mul,
     random_triangleish,
+    root_value,
     switch_balanced,
 )
 
@@ -257,7 +259,8 @@ def test_measure_missing_branch():
 
 def test_transition_pf_b4():
     T = load_transition_matrix(load_fixture("tm_b4_word.json"))
-    lam, v = transition_pf(T)
+    root, v = transition_pf(T)
+    lam, v = root_value(root), pf_vector(root, v)
     assert abs(float(lam) - 4.61158178930871) < 1e-10
     printed = (0.50135, 0.59215, 0.41871, 0.47190)
     for x, y in zip(v, printed):
@@ -266,7 +269,8 @@ def test_transition_pf_b4():
 
 def test_transition_pf_gamma():
     T = load_transition_matrix(load_fixture("tm_gamma_T.json"))
-    lam, v = transition_pf(T)
+    root, v = transition_pf(T)
+    lam, v = root_value(root), pf_vector(root, v)
     with mpmath.workdps(40):
         assert abs(lam - (17 + 12 * mpmath.sqrt(2))) < mpmath.mpf("1e-9")
         ratio = 1 + mpmath.sqrt(2)

@@ -276,6 +276,7 @@ def cmd_track(args) -> int:
         with open(args.files[0]) as fh:
             T = load_transition_matrix(fh.read())
         root, v = transition_pf(T)
+        root = root.refine(4 * args.digits + 40)  # once, not again for every value
         lam, *v = (_value(root, p, args.digits) for p in [(0, 1), *v])
         with mpmath.workdps(args.digits + 10):
             norm = mpmath.norm(v)

@@ -1,10 +1,10 @@
 """Attracting directions, Dynnikov matrices, and the n=3 circle decomposition.
 
 The projectivized action of a pseudo-Anosov word has a unique attracting
-fixed direction; projective power iteration finds it.  Probing a small sphere
-around the fixed direction with the traced update rules discovers every
-linear piece (region) meeting it; candidates are verified against the fixed
-direction and by their shared spectral radius.
+fixed direction; projective power iteration finds it.  The region traced
+there gives a matrix M, and exact signs at its exact eigenvector decide
+whether that lies inside the region; only one on a wall, or a trace with
+ties, probes a small sphere to find every region meeting the direction.
 
 Both the iteration and the probing run on Python integers.  The update rules
 are positively homogeneous with integer coefficients, so a direction scaled
@@ -35,6 +35,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd
 from typing import NoReturn
 
@@ -45,7 +46,7 @@ from .coords import DynnikovVector
 from .errors import (
     BraidFormatError, DynbraidError, NoDominantRealRoot, NonConvergence, VerificationFailed
 )
-from .spectral import Root, dilatation
+from .spectral import CERTIFY_BITS, Root, dilatation, eigenvector
 from .update import BranchSignature, apply_braid, traced_apply
 
 
@@ -57,12 +58,6 @@ SEED = 2023
 
 # random probe directions per coordinate, beside the 2*dim axis directions
 RANDOM_PROBES_PER_DIM = 8
-
-
-@dataclass(frozen=True)
-class UnstableDirection:
-    u: tuple  # integer iterate of sup norm 2^PREC: the direction u / 2^PREC
-    growth: int  # max|w(v)| for the iterate v before u: the dilatation times 2^PREC
 
 
 @dataclass(frozen=True)
@@ -195,10 +190,10 @@ def _uses_every_generator(w: BraidWord) -> bool:
     return len({idx for idx, _ in reduced}) == w.strands - 1
 
 
-def find_unstable_direction(w: BraidWord) -> UnstableDirection:
+def find_unstable_direction(w: BraidWord) -> tuple:
     """Projective power iteration toward the attracting direction of w.
 
-    The iterate is an integer vector u of sup norm 2^PREC, that is the
+    Returns the iterate, an integer vector u of sup norm 2^PREC, that is the
     direction u / 2^PREC in fixed point with PREC fraction bits.  The action
     is positively homogeneous with integer coefficients, so apply_braid on u
     is exact, and renormalizing by floor((y << PREC) / max|y|) costs under
@@ -252,13 +247,11 @@ def find_unstable_direction(w: BraidWord) -> UnstableDirection:
             ),
         )
     if growth * 10**6 <= (10**6 + 1) << PREC:
-        with mpmath.workprec(PREC):
-            lam = mpmath.ldexp(growth, -PREC)
-            raise NonConvergence(
-                f"growth factor {mpmath.nstr(lam, 8)} is not > 1: "
-                "word is not pseudo-Anosov at this precision"
-            )
-    return UnstableDirection(tuple(u), growth)
+        raise NonConvergence(
+            f"growth factor {growth / (1 << PREC):.8g} is not > 1: "
+            "word is not pseudo-Anosov at this precision"
+        )
+    return tuple(u)
 
 
 def _normalize_row(row):
@@ -276,100 +269,95 @@ def _probe_directions(dim: int):
     return dirs
 
 
-def _in_interior(tr, X, R) -> bool:
-    """True when the sup-ball of radius R around X is strictly inside tr's region.
-
-    Every point P with max|P - X| <= R has c.P >= c.X - R*|c|_1 for each
-    constraint row c.  A tie at X is a constraint with c.X = 0, so it fails.
-    """
-    return all(
-        sum(c * x for c, x in zip(row, X)) > R * sum(abs(c) for c in row)
-        for row in tr.constraints
-    )
+def _dot(c, v):
+    """The polynomial c.v of an integer row c and integer polynomials v of one length."""
+    return [sum(a * x for a, x in zip(c, col)) for col in zip(*v)]
 
 
 def dynnikov_matrices(w: BraidWord) -> list:
     """All verified Dynnikov matrices of w (regions meeting the fixed direction).
 
     The integer iterate u of find_unstable_direction is traced exactly as
-    the centre X = u << PREC, with 2*PREC fraction bits, and the probe radius
-    is R = round(1e-6 * 2^(2*PREC)).  The update is positively homogeneous,
-    so tracing an integer point is exact and a tie is plain equality.  X is
-    traced once: when every region constraint c of that trace has
-    c.X > R*|c|_1, the whole sup-ball of radius R lies strictly inside X's
-    region, so every probe would follow the same branches and find the same
-    matrix and region, which is then the only candidate.  Otherwise the
-    sphere of radius R is probed at the integer points X + round(R*d), as
-    many as ``_probe_directions`` gives.  Tie-free candidates are deduped by
-    exact matrix and verified in mpf at 2*PREC bits: the fixed direction is
-    an eigenvector with eigenvalue growth / 2^PREC, it lies in the region's
-    closure, and all candidates share their spectral radius, which each
-    returned matrix carries as its ``dilatation``.
+    the centre X = u << PREC; the update is positively homogeneous, so the
+    trace is exact and a tie is plain equality.  A tie-free trace gives a
+    matrix M and its region closure {x : c.x >= 0}.  M is decided at
+    lam = dilatation(M) and its exact eigenvector v = adj(xI - M) u
+    (spectral.eigenvector), by signs that Root.sign takes exactly: v(lam) is
+    in the region closure when every row has sign(c.v) >= 0, so that
+    w(v) = M v = lam v, and sign(u.v) = +1 makes it the direction u
+    approximates, not 0 or its antipode.
+
+    The centre's matrix is the anchor when v(lam) is in its region closure,
+    and when every sign is +1 it is the only matrix.  Only when v(lam) lies
+    exactly on a wall or the centre trace has ties is the sphere of radius
+    R = round(1e-6 * 2^(2*PREC)), far beyond the iterate's error, probed at
+    the integer points X + round(R*d) for the ``_probe_directions`` d.
+    Without an anchor, the first tie-free probe matrix in sorted order whose
+    own v lies in its own region closure is one.  A probe matrix B is kept
+    exactly when its region closure holds the anchor's v(lam); then
+    B v = lam v and B's spectral radius lam are checked exactly.  Each
+    returned matrix carries its radius as its ``dilatation``.
     """
-    # Regions can pass within ~1e-13 of the fixed direction (high-entropy words
-    # with huge dilatation), so the direction must be located far more
-    # accurately than the probe radius before probing.
-    direction = find_unstable_direction(w)
-    X = [x << PREC for x in direction.u]
+    u = find_unstable_direction(w)
+    X = [x << PREC for x in u]
     R = round(Fraction(1e-6) * 2 ** (2 * PREC))
 
-    def trace(point):
-        return traced_apply(DynnikovVector.from_flat(w.strands, point), w)
+    def trace(point):  # (matrix, region, signature), or None at a tie
+        tr = traced_apply(DynnikovVector.from_flat(w.strands, point), w)
+        if not tr.signature.has_ties:
+            return tr.matrix, tuple(sorted(set(map(_normalize_row, tr.constraints)))), tr.signature
 
-    centre_trace = trace(X)
-    if _in_interior(centre_trace, X, R):
-        traces = [centre_trace]
-    else:  # traced one at a time: a long word's trace is large
-        traces = (
-            trace([x + round(R * Fraction(t)) for x, t in zip(X, d)])
-            for d in _probe_directions(len(X))
-        )
-    found = {}
-    for tr in traces:
-        if not tr.signature.has_ties and tr.matrix not in found:
-            region = tuple(sorted({_normalize_row(r) for r in tr.constraints}))
-            found[tr.matrix] = (region, tr.signature)
-    with mpmath.workprec(2 * PREC):
-        centre = [mpmath.ldexp(x, -PREC) for x in direction.u]
-        if not found:
-            raise VerificationFailed("no tie-free signature found near the fixed direction")
-        lam = mpmath.ldexp(direction.growth, -PREC)
-        sup = max(abs(x) for x in centre)
-        verified = []
-        for key in sorted(found):
-            region, _ = found[key]
-            # probes can step across a wall passing arbitrarily close to the
-            # fixed direction; a candidate whose region closure misses the
-            # direction is such an artifact and is dropped, not an error
-            if any(
-                sum(c * x for c, x in zip(row, centre))
-                < -mpmath.mpf("1e-25") * (max(abs(c) for c in row) * sup)
-                for row in region
-            ):
-                continue
-            image = [sum(c * x for c, x in zip(row, centre)) for row in key]
-            err = max(abs(y - lam * x) for x, y in zip(centre, image))
-            if err > 1e-8 * lam * sup:
+    @cache  # one dilatation per matrix
+    def radius(key) -> Root:
+        try:
+            return dilatation([list(r) for r in key])
+        except NoDominantRealRoot as exc:
+            _certify_failure(w, exc)
+
+    def anchored(key, region):
+        """(key, lam, v, whether off every wall) when v(lam) is in region's closure."""
+        lam, v = radius(key).refine(CERTIFY_BITS), eigenvector(key, u)
+        signs = [lam.sign(_dot(c, v)) for c in (u, *region)]
+        if signs[0] == 1 and min(signs) >= 0:
+            return key, lam, v, min(signs) == 1
+
+    centre = trace(X)
+    anchor = centre and anchored(*centre[:2])
+    if anchor and anchor[3]:
+        return [DynnikovMatrix(*centre, radius(centre[0]))]
+    found = {}  # tie-free probes: matrix -> (region, signature) of the first
+    for d in _probe_directions(len(X)):  # traced one at a time: a long word's trace is large
+        probe = trace([x + round(R * Fraction(t)) for x, t in zip(X, d)])
+        if probe:
+            found.setdefault(probe[0], probe[1:])
+    if not found:
+        raise VerificationFailed("no tie-free signature found near the fixed direction")
+    anchor = anchor or next(filter(None, (anchored(k, found[k][0]) for k in sorted(found))), None)
+    if anchor is None:
+        raise VerificationFailed("no candidate's region closure contains the fixed direction")
+    anchor_key, lam, v, _ = anchor
+    results = []
+    for key in sorted(found):
+        region, signature = found[key]
+        # probes can step across a wall passing arbitrarily close to the
+        # fixed direction; a candidate whose region closure misses the
+        # direction is such an artifact and is dropped, not an error
+        if any(lam.sign(_dot(c, v)) < 0 for c in region):
+            continue
+        if key != anchor_key:
+            residual = (  # B v - x v
+                [y - x for x, y in zip((0, *p), (*_dot(row, v), 0))] for row, p in zip(key, v)
+            )
+            if any(map(lam.sign, residual)):
                 raise VerificationFailed(
                     "fixed direction is not an eigenvector of a candidate matrix"
                 )
-            verified.append(key)
-        if not verified:
-            raise VerificationFailed(
-                "no candidate's region closure contains the fixed direction"
-            )
-        try:
-            results = [
-                DynnikovMatrix(key, *found[key], dilatation([list(r) for r in key]))
-                for key in verified
-            ]
-        except NoDominantRealRoot as exc:
-            _certify_failure(w, exc)
-        # equal when each is a zero of the other's f, as each dominates its own
-        radius = results[0].dilatation
-        for m in results[1:]:
-            if not radius.sign(m.dilatation.f) == 0 == m.dilatation.sign(radius.f):
+            # equal when each is a zero of the other's f, as each dominates its own
+            if not lam.sign(radius(key).f) == 0 == radius(key).sign(lam.f):
                 raise VerificationFailed("candidate matrices disagree on spectral radius")
+        results.append(DynnikovMatrix(key, region, signature, radius(key)))
+    if not results:
+        raise VerificationFailed("no candidate's region closure contains the fixed direction")
     return results
 
 

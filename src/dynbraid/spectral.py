@@ -89,12 +89,6 @@ class CharPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
 
 # ---------------------------------------------------------------------------
 # characteristic polynomial (Berkowitz, division-free)
@@ -125,6 +119,16 @@ def char_poly(M) -> CharPoly:
     return CharPoly(tuple(reversed(coeffs)))
 
 
+def eigenvector(M, y):
+    """adj(xI - M) y = sum_j x^(m-1-j) B_j y as integer polynomials, lowest degree
+    first, with B_0 = I, B_j = M B_(j-1) + c_j I and det(xI - M) = sum_j c_j x^(m-j)."""
+    c = char_poly(M).coeffs[::-1]
+    b = [list(y)]  # B_j y, for j = 0 .. m-1
+    for j in range(1, len(M)):
+        b.append([sum(x * z for x, z in zip(row, b[-1])) + c[j] * t for row, t in zip(M, y)])
+    return list(zip(*reversed(b)))
+
+
 # ---------------------------------------------------------------------------
 # dilatation: located, certified and refined on integers
 
@@ -151,6 +155,15 @@ def _poly_gcd(a, b):
             return _primitive(b)
         a, b = b, _primitive(list(r))
     return [1]
+
+
+def _horner(p, a, b, k):
+    """lo <= hi around 2^(k*deg) p on [a/2^k, b/2^k], 0 < a <= b, by interval Horner."""
+    lo = hi = 0
+    for i, c in enumerate(reversed(p)):
+        c <<= k * i
+        lo, hi = lo * (a if lo > 0 else b) + c, hi * (b if hi > 0 else a) + c
+    return lo, hi
 
 
 def _sign_at(f, a, k):
@@ -314,19 +327,20 @@ class Root:
         root, need = self, bits
         while True:
             root = root.refine(need)
-            a, b, k = root.a, root.b, root.k
-            lo = hi = 0  # 2^(k deg p) p on the bracket, scaled as in _sign_at
-            for i, c in enumerate(reversed(p)):
-                c <<= k * i
-                lo, hi = lo * (a if lo > 0 else b) + c, hi * (b if hi > 0 else a) + c
+            lo, hi = _horner(p, root.a, root.b, root.k)
             small = lo if lo > 0 else -hi  # > 0 when lo and hi share a sign
             if small > 0 and (hi - lo) << bits <= small:
-                return tuple(Fraction(x, 1 << k * (len(p) - 1)) for x in (lo, hi))
+                return tuple(Fraction(x, 1 << root.k * (len(p) - 1)) for x in (lo, hi))
             need = 2 * need + 8
 
     def sign(self, p):
-        """The exact sign of p at the zero (p an integer polynomial, leading
-        coefficient nonzero): 0 when gcd(f, p) changes sign on the bracket."""
+        """The exact sign of the integer polynomial p at the zero: by interval
+        Horner on the bracket when that misses 0, else 0 when p is 0 or
+        gcd(f, p) changes sign on the bracket, else by enclose."""
+        lo, hi = _horner(p, self.a, self.b, self.k)
+        if lo > 0 or hi < 0 or not any(p):
+            return (lo > 0) - (hi < 0)
+        p = p[: max(i for i, c in enumerate(p) if c) + 1]  # no trailing zeros
         g = _poly_gcd(self.f, p)
         if _sign_at(g, self.a, self.k) * _sign_at(g, self.b, self.k) < 0:
             return 0

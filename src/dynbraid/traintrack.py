@@ -44,7 +44,7 @@ from .errors import (
     TrackFormatError,
     VerificationFailed,
 )
-from .spectral import char_poly, dilatation, mat_mul
+from .spectral import dilatation, eigenvector, mat_mul
 from .update import Jet, Recorder
 
 # ---------------------------------------------------------------------------
@@ -326,11 +326,10 @@ def load_transition_matrix(text: str) -> TransitionMatrix:
 def transition_pf(T: TransitionMatrix):
     """PF eigenvalue, a ``spectral.Root``, and positive eigenvector of the main block.
 
-    The eigenvector is adj(xI - M) 1 = sum_j x^(m-1-j) B_j 1, with B_0 = I
-    and B_j = M B_(j-1) + c_j I: integer polynomials, lowest degree first,
-    read at the simple eigenvalue lam.  adj(lam I - M) is p'(lam) v w^T / w^T v
-    with p'(lam) > 0 and w >= 0 as M >= 0, so that is a positive multiple of
-    the eigenvector v.  NotIrreducible is raised when no simple dominant
+    The eigenvector is adj(xI - M) 1 (spectral.eigenvector), read at the
+    simple eigenvalue lam.  adj(lam I - M) is p'(lam) v w^T / w^T v with
+    p'(lam) > 0 and w >= 0 as M >= 0, so that is a positive multiple of the
+    eigenvector v.  NotIrreducible is raised when no simple dominant
     eigenvalue > 1 exists or Root.sign finds an entry that is not positive.
     """
     M = T.main_block()
@@ -338,11 +337,7 @@ def transition_pf(T: TransitionMatrix):
         root = dilatation(M)
     except NoDominantRealRoot as exc:
         raise NotIrreducible(str(exc)) from None
-    c = char_poly(M).coeffs[::-1]  # det(xI - M) = sum_j c_j x^(m-j)
-    b = [[1] * len(M)]  # B_j 1, for j = 0 .. m-1
-    for j in range(1, len(M)):
-        b.append([sum(x * y for x, y in zip(row, b[-1])) + c[j] for row in M])
-    v = list(zip(*reversed(b)))
+    v = eigenvector(M, [1] * len(M))
     if {root.sign(p) for p in v} != {1}:
         raise NotIrreducible("PF eigenvector has a non-positive entry")
     return root, v

@@ -152,6 +152,14 @@ def poly_mul(p, q):
     return tuple(out)
 
 
+def poly_at(p, x):
+    """The coefficient tuple p, lowest degree first, at x, by Horner."""
+    acc = 0
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
 def switch_balanced(track, mu) -> bool:
     """Whether mu satisfies the switch condition at every switch of track."""
     return all(

@@ -100,7 +100,7 @@ def test_criterion_3_five_strand_example():
     assert {m.matrix for m in mats} == {D1_N5, D2_N5}
     radii = [root_value(dilatation(m.matrix_list())) for m in mats]
     assert abs(radii[0] - radii[1]) < 1e-12 * radii[0]
-    u = [Fraction(x, 1 << PREC) for x in find_unstable_direction(w).u]
+    u = [Fraction(x, 1 << PREC) for x in find_unstable_direction(w)]
     assert all(x <= 1e-12 for x in u)
     assert abs(u[1] - (u[0] + u[3])) < 1e-9
 

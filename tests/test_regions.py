@@ -8,18 +8,20 @@ import pytest
 
 from dynbraid.braid import identity_word, inverse, parse_braid
 from dynbraid.coords import DynnikovVector
-from dynbraid.errors import BraidFormatError, NonConvergence, VerificationFailed
+from dynbraid.errors import (
+    BraidFormatError, NoDominantRealRoot, NonConvergence, VerificationFailed
+)
 import dynbraid.regions as regions
 from dynbraid.regions import (
     PREC,
-    _in_interior,
+    _dot,
     _probe_directions,
     dynnikov_matrices,
     enumerate_regions_n3,
     find_unstable_direction,
     fixed_lamination,
 )
-from dynbraid.spectral import dilatation
+from dynbraid.spectral import CERTIFY_BITS, dilatation, eigenvector
 from dynbraid.update import apply_braid, traced_apply
 
 from conftest import mat_vec, root_value
@@ -50,7 +52,7 @@ D2_N5 = (
     (0, 0, 1, 0, 0, 1),
 )
 
-# high-entropy 4-strand word: a wall passes within the probe radius of its centre
+# high-entropy 4-strand word: a wall passes 2.1e-14 (relative) from its direction
 S3_WORD = " ".join(
     ["-1"]
     + ["-2"] * 3
@@ -81,18 +83,20 @@ PERIODIC_WORDS = (("1 2 3 4", 5), ("1 2", 3), ("1 2 3 1", 4), ("-2 1 2 3 2", 4))
 
 
 def _direction(w):
-    """find_unstable_direction(w) as mpf: the direction u / 2^PREC and growth / 2^PREC.
+    """find_unstable_direction(w) as mpf: the direction u / 2^PREC, and the
+    growth max|w(u)| / 2^PREC.
 
     Call it inside mpmath.workprec(2 * PREC), where both are exact.
     """
-    d = find_unstable_direction(w)
-    return [mpmath.ldexp(x, -PREC) for x in d.u], mpmath.ldexp(d.growth, -PREC)
+    u = find_unstable_direction(w)
+    growth = max(abs(x) for x in apply_braid(DynnikovVector.from_flat(w.strands, u), w).flat())
+    return [mpmath.ldexp(x, -PREC) for x in u], mpmath.ldexp(growth, -PREC)
 
 
 def test_unstable_direction_golden():
     w = parse_braid("1 -2", 3)
-    d = find_unstable_direction(w)
-    assert max(abs(x) for x in d.u) == 1 << PREC
+    u = find_unstable_direction(w)
+    assert max(abs(x) for x in u) == 1 << PREC
     with mpmath.workprec(2 * PREC):
         (a, b), lam = _direction(w)
         expect = (3 + mpmath.sqrt(5)) / 2
@@ -104,7 +108,7 @@ def test_unstable_direction_golden():
 
 def test_unstable_direction_is_fixed_by_action():
     w = parse_braid("1 -2", 3)
-    u = find_unstable_direction(w).u
+    u = find_unstable_direction(w)
     image = apply_braid(DynnikovVector.from_flat(3, u), w).flat()
     with mpmath.workprec(2 * PREC):
         ni, npt = max(map(abs, image)), max(map(abs, u))
@@ -148,23 +152,38 @@ def test_dynnikov_matrices_two_regions_n5():
     assert abs(radii[0] - radii[1]) < 1e-12 * radii[0]
 
 
+def _kron(A, B):
+    return [[a * b for a in ra for b in rb] for ra in A for rb in B]
+
+
 @pytest.mark.parametrize(
     "left, right, equal",
     [
-        ([[2, 1], [1, 1]], [[1, 1, 0], [1, 2, 0], [0, 0, 1]], True),  # one more factor x - 1
+        ([[2]], [[2, 0], [0, 1]], True),  # λ/2 beside λ: another char poly
         ([[10**13]], [[10**13 + 1]], False),  # 1e-13 apart, relative
     ],
 )
 def test_candidates_share_their_radius_exactly(monkeypatch, left, right, equal):
-    # "1 2 3 -4" has two candidate matrices; give them these radii instead
-    radii = iter([dilatation(left), dilatation(right)])
-    monkeypatch.setattr(regions, "dilatation", lambda M: next(radii))
+    # "1 2 3 -4" has two candidate matrices.  The first radius taken is the
+    # anchor's and also decides the certificate: it stays λ.  The second
+    # becomes the radius of kron(B, right) / left, that is λ once more with
+    # λ/2 beside it, or λ (1 + 1e-13).
+    plain, calls = regions.dilatation, []
+
+    def scaled(M):
+        calls.append(M)
+        if len(calls) == 1:
+            return plain(M)
+        return plain([[Fraction(x, left[0][0]) for x in row] for row in _kron(M, right)])
+
+    monkeypatch.setattr(regions, "dilatation", scaled)
     w = parse_braid("1 2 3 -4", 5)
     if equal:
         assert len(dynnikov_matrices(w)) == 2
     else:
         with pytest.raises(VerificationFailed, match="disagree on spectral radius"):
             dynnikov_matrices(w)
+    assert len(calls) == 2
 
 
 def test_fixed_direction_on_wall_n5():
@@ -180,7 +199,7 @@ def test_region_matrices_reproduce_action_exactly():
     """Exact rational points inside each returned region map by its matrix."""
     w = parse_braid("1 2 3 -4", 5)
     mats = dynnikov_matrices(w)
-    u = find_unstable_direction(w).u
+    u = find_unstable_direction(w)
     centre = [Fraction(round(Fraction(x, 1 << PREC), 9)) for x in u]
     rng = random.Random(83)
     for m in mats:
@@ -272,7 +291,7 @@ def test_single_trace_matches_full_probing(monkeypatch):
         got = {(m.matrix, m.region) for m in dynnikov_matrices(w)}
         fast += len(calls) == 1
         assert got == _reference_matrices(w), w.render()
-    assert fast == 30  # short Penner words never leave the centre's region
+    assert fast == 31  # short Penner words and S3_WORD: v inside the centre's region
 
 
 def test_two_region_word_takes_slow_path(monkeypatch):
@@ -282,15 +301,53 @@ def test_two_region_word_takes_slow_path(monkeypatch):
     assert {m.matrix for m in mats} == {D1_N5, D2_N5}
 
 
-def test_fast_path_needs_margin_to_every_wall():
-    # at (100, 10) sigma_1 has walls a = 0, a = b, b = 0: c.X = 100, 90, 10
-    w = parse_braid("1", 3)
-    X = [100, 10]
-    tr = traced_apply(DynnikovVector.from_flat(3, X), w)
-    assert _in_interior(tr, X, 9)
-    assert not _in_interior(tr, X, 10)  # the ball reaches b = 0
-    X = [10, 10]  # on the wall a = b: a tie
-    assert not _in_interior(traced_apply(DynnikovVector.from_flat(3, X), w), X, 0)
+def _centre_signs(text, n):
+    """Signs at λ of c.v, v = adj(xI - M) u, for each row c of the centre's region."""
+    w = parse_braid(text, n)
+    u = find_unstable_direction(w)
+    tr = traced_apply(DynnikovVector.from_flat(n, [x << PREC for x in u]), w)
+    assert not tr.signature.has_ties
+    lam = dilatation([list(r) for r in tr.matrix]).refine(CERTIFY_BITS)
+    v = eigenvector(tr.matrix, u)
+    return [lam.sign(_dot(c, v)) for c in tr.constraints]
+
+
+def test_certificate_finds_the_walls_through_the_direction():
+    # gamma and "1 2 3 -4" have a wall through their direction, exactly: they probe
+    assert 0 in _centre_signs(GAMMA_WORD, 4)
+    assert 0 in _centre_signs("1 2 3 -4", 5)
+    # a wall passes 2.1e-14 from S3_WORD's direction, which is still inside
+    assert set(_centre_signs(S3_WORD, 4)) == {1}
+
+
+def test_a_wrong_iterate_is_refused_or_answered_the_same(monkeypatch):
+    # the certificate trusts no part of u: v = adj(xI - M) u is decided
+    # exactly.  An iterate off by 1e-9 is still answered: S3_WORD's centre
+    # may then cross the wall 2.1e-14 away, and probes whose region closure
+    # misses v must be dropped.  A region is the first probe's, so only the
+    # matrices must agree.
+    rng = random.Random(5)
+    answered = 0
+    for text, n in ACCEPTANCE_WORDS:
+        w = parse_braid(text, n)
+        truth = [m.matrix for m in dynnikov_matrices(w)]
+        near, size = find_unstable_direction(w), (1 << PREC) // 10**9
+        for k in range(12):
+            if k % 2:
+                u = tuple(rng.randint(-(1 << PREC), 1 << PREC) for _ in near)
+            else:
+                u = tuple(x + rng.randint(-size, size) for x in near)
+            monkeypatch.setattr(regions, "find_unstable_direction", lambda w: u)
+            try:
+                got = [m.matrix for m in dynnikov_matrices(w)]
+            except (NoDominantRealRoot, VerificationFailed):
+                assert k % 2, text
+                continue
+            finally:
+                monkeypatch.undo()
+            assert got == truth, text
+            answered += 1
+    assert answered > 6 * len(ACCEPTANCE_WORDS)
 
 
 def test_penner_words_never_fail_fast():
@@ -377,7 +434,7 @@ def test_centre_is_the_exact_iterate(monkeypatch):
 
     monkeypatch.setattr(regions, "traced_apply", recording)
     dynnikov_matrices(w)
-    centre = tuple(x << PREC for x in find_unstable_direction(w).u)
+    centre = tuple(x << PREC for x in find_unstable_direction(w))
     assert points[0] == centre
     assert not plain(DynnikovVector.from_flat(4, centre), w).signature.has_ties
 

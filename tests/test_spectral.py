@@ -8,12 +8,14 @@ import pytest
 from dynbraid.braid import parse_braid
 from dynbraid.errors import DynbraidError, NoDominantRealRoot
 from dynbraid.regions import dynnikov_matrices
+import dynbraid.spectral as spectral
 from dynbraid.spectral import (
     CharPoly,
     Root,
     char_poly,
     cyclotomic,
     dilatation,
+    eigenvector,
     euler_phi,
     isospectral_up_to,
     mat_mul,
@@ -22,7 +24,7 @@ from dynbraid.spectral import (
     strip_trivial_factors,
 )
 
-from conftest import block_lift, poly_mul, root_value
+from conftest import block_lift, poly_at, poly_mul, root_value
 
 
 def rand_matrix(rng, n, span=9):
@@ -132,11 +134,6 @@ def test_char_poly_big_integers():
     assert p.coeffs == (10**40 - 1, -2 * 10**20, 1)
 
 
-def test_char_poly_evaluation():
-    p = CharPoly((1, -3, 1))
-    assert p(0) == 1 and p(3) == 1 and p(Fraction(1, 2)) == Fraction(-1, 4)
-
-
 # ---------------------------------------------------------------------------
 # dilatation
 
@@ -150,10 +147,7 @@ def test_dilatation_golden():
 
 def test_dilatation_is_polynomial_root():
     M = [[5, -2, 3, 1], [3, 0, 1, -2], [1, -1, 1, 1], [1, 1, 0, -2]]
-    p = char_poly(M)
-    lam = root_value(dilatation(M))
-    with mpmath.workdps(50):
-        assert abs(p(lam)) < mpmath.mpf("1e-25")
+    assert dilatation(M).sign(char_poly(M).coeffs) == 0
 
 
 def test_dilatation_rejects_identity_and_rotation():
@@ -288,6 +282,62 @@ def test_root_sign_is_exact():
     assert [big.sign((c, 1)) for c in (-(10**15), -(10**15) + 1, -(10**15) - 1)] == [0, 1, -1]
 
 
+def _sign_by_gcd(root, p):
+    """The sign of p at the Root by the gcd test, then enclose, and no interval."""
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    if not p:
+        return 0
+    g = spectral._poly_gcd(root.f, p)
+    if spectral._sign_at(g, root.a, root.k) * spectral._sign_at(g, root.b, root.k) < 0:
+        return 0
+    return 1 if root.enclose(p, 0)[0] > 0 else -1
+
+
+def test_root_sign_tries_the_interval_first(monkeypatch):
+    rng = random.Random(41)
+    roots = [
+        dilatation([[2, 1], [1, 1]]),
+        dilatation([[5, -2, 3, 1], [3, 0, 1, -2], [1, -1, 1, 1], [1, 1, 0, -2]]),
+        dilatation([[2]]),
+    ]
+    roots.append(roots[1].refine(100))
+    cases = []
+    for root in roots:
+        mid = sum(root.enclose((0, 1), 30)) / 2  # x - mid is small at the zero
+        for p in [(), (0, 0), root.f + (0,), (-mid.numerator, mid.denominator)]:
+            cases.append((root, p))
+        for _ in range(40):
+            p = tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, 6)))
+            cases.append((root, p + (0,) * rng.randint(0, 2)))
+            cases.append((root, poly_mul(root.f, p)))  # 0 at the zero
+    expect = [_sign_by_gcd(root, p) for root, p in cases]
+    assert 0 in expect and 1 in expect and -1 in expect
+    calls = []
+    plain = spectral._poly_gcd
+    monkeypatch.setattr(spectral, "_poly_gcd", lambda a, b: calls.append(1) or plain(a, b))
+    for (root, p), sign in zip(cases, expect):
+        del calls[:]
+        assert root.sign(p) == sign, (root, p)
+        lo, hi = spectral._horner(p, root.a, root.b, root.k)
+        assert bool(calls) == (lo <= 0 <= hi and any(p)), (root, p)
+
+
+def test_eigenvector_is_the_adjugate_times_y():
+    rng = random.Random(43)
+    for _ in range(30):
+        n = rng.randint(1, 5)
+        M = rand_matrix(rng, n)
+        y = [rng.randint(-9, 9) for _ in range(n)]
+        v = eigenvector(M, y)
+        p = char_poly(M).coeffs
+        # (M - xI) adj(xI - M) y = -det(xI - M) y, coefficient by coefficient
+        for row, vi, yi in zip(M, v, y):
+            Mv = [sum(a * q[j] for a, q in zip(row, v)) for j in range(n)] + [0]
+            assert [a - b for a, b in zip(Mv, (0, *vi))] == [-c * yi for c in p]
+
+
 def test_root_enclose_is_tight_and_holds_the_value():
     root = dilatation([[2, 1], [1, 1]])  # (3 + sqrt 5) / 2
     for bits in (0, 10, 50, 120):
@@ -312,9 +362,9 @@ def test_dilatation_ignores_repeated_trivial_factors():
     M = block_sum(C, identity(4))
     lam = root_value(dilatation(M))
     assert mpmath.nstr(lam, 12) == "5.43400775144"
-    p = char_poly(M)
+    p = char_poly(M).coeffs
     x, eps = Fraction(mpmath.nstr(lam, 40)), Fraction(1, 10**25)
-    assert p(x - eps) * p(x + eps) < 0
+    assert poly_at(p, x - eps) * poly_at(p, x + eps) < 0
 
 
 def test_dilatation_rejects_repeated_dominant_root_beside_trivial_factors():
